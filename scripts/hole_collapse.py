@@ -8,7 +8,6 @@ Writes hole_collapse.csv with columns rho,A,B,ratio_to_baseline.
 
 import argparse
 import math
-import warnings
 from pathlib import Path
 
 from fockdiv.divisor import lattice
@@ -23,9 +22,6 @@ def main():
     ap.add_argument("--out", type=Path, default=Path("."))
     args = ap.parse_args()
 
-    # only the sampling side is studied here; the rank-deficiency warning
-    # about the interpolation side does not apply
-    warnings.filterwarnings("ignore", message="truncation .* below total")
     extent = math.sqrt(args.truncation) + 2
     rows = ["rho,A,B,ratio_to_baseline"]
     baseline = None

@@ -2,7 +2,7 @@
 
 Usage:
     fockdiv <geometry|frame|uniqueness|dichotomy> --config cfg.ini
-            [--out DIR] [--workers N] [--seed U64]
+            [--out DIR] [--workers N]
 
 Config is an INI file; every report starts with '#'-prefixed provenance
 lines echoing the effective configuration.  Exit codes: 0 success,
@@ -75,8 +75,8 @@ def load_window(cfg: configparser.ConfigParser) -> dv.Region:
 
 
 def _provenance(cfg: configparser.ConfigParser, command: str,
-                seed: int, workers: int) -> str:
-    lines = [f"# fockdiv {command}", f"# seed={seed}", f"# workers={workers}"]
+                workers: int) -> str:
+    lines = [f"# fockdiv {command}", f"# workers={workers}"]
     for section in cfg.sections():
         for key, value in sorted(cfg.items(section)):
             lines.append(f"# {section}.{key}={value}")
@@ -215,7 +215,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     cfg = configparser.ConfigParser()
     if not Path(args.config).exists():
@@ -224,8 +223,7 @@ def main(argv=None) -> int:
     cfg.read(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.random.seed(args.seed % (2 ** 32))
-    header = _provenance(cfg, args.command, args.seed, args.workers)
+    header = _provenance(cfg, args.command, args.workers)
     try:
         _COMMANDS[args.command](cfg, out, header)
     except (PreconditionError, ParameterError, DomainError,

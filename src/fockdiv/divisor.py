@@ -313,31 +313,16 @@ def _lens_area(d: float, r1: float, r2: float) -> float:
     """Area of the intersection of two discs at center distance d."""
     if d >= r1 + r2:
         return 0.0
-    if d <= abs(r1 - r2):
+    if d <= abs(r1 - r2) or d <= 1e-16 * min(r1, r2):
+        # nested, or concentric to double precision
         return math.pi * min(r1, r2) ** 2
-    a1 = math.acos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
-    a2 = math.acos((d * d + r2 * r2 - r1 * r1) / (2 * d * r2))
+    # clamped: rounding pushes the cosines past +-1 near tangency
+    a1 = math.acos(min(1.0, max(-1.0, (d * d + r1 * r1 - r2 * r2)
+                                / (2 * d * r1))))
+    a2 = math.acos(min(1.0, max(-1.0, (d * d + r2 * r2 - r1 * r1)
+                                / (2 * d * r2))))
     return (r1 * r1 * (a1 - math.sin(2 * a1) / 2)
             + r2 * r2 * (a2 - math.sin(2 * a2) / 2))
-
-
-def _lens_area_grid(c1, r1, c2, r2, n: int = 400) -> float:
-    """Grid count of the intersection area (used as the module's own
-    computation; the closed form above serves as oracle in tests)."""
-    rmin = min(r1, r2)
-    h = max(rmin / n, 1e-9)
-    xmin = max(c1.real - r1, c2.real - r2)
-    xmax = min(c1.real + r1, c2.real + r2)
-    ymin = max(c1.imag - r1, c2.imag - r2)
-    ymax = min(c1.imag + r1, c2.imag + r2)
-    if xmin >= xmax or ymin >= ymax:
-        return 0.0
-    xs = np.arange(xmin + h / 2, xmax, h)
-    ys = np.arange(ymin + h / 2, ymax, h)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = gx + 1j * gy
-    inside = (np.abs(pts - c1) < r1) & (np.abs(pts - c2) < r2)
-    return float(inside.sum()) * h * h
 
 
 def _common_point(discs) -> complex | None:
@@ -391,7 +376,7 @@ def triple_disc_witness(d1, d2, d3) -> tuple[tuple[int, int], float, float]:
                 best = ((i, j), slack)
     (i, j), slack = best
     (ci, ri), (cj, rj) = discs[i], discs[j]
-    area_ratio = _lens_area_grid(ci, ri, cj, rj) / min(ri, rj) ** 2
+    area_ratio = _lens_area(abs(ci - cj), ri, rj) / min(ri, rj) ** 2
     return (i, j), slack, area_ratio
 
 

@@ -3,9 +3,9 @@
 Everything is expressed in the orthonormal monomial basis
 e_k(z) = z^k / sqrt(k!) (weight parameter normalized to 1 internally;
 callers rescale centers by sqrt(alpha)).  The weighted translation T_z
-acts isometrically; its matrix in the basis is built column by column
-from the coherent vector through an exact shift recurrence, so entries
-carry no truncation error beyond floating point rounding.
+acts isometrically; its matrix in the basis is built in double precision
+from the coherent vector through a normalized Laguerre recurrence, so
+entries carry no truncation error beyond floating point rounding.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class DisplacementMatrix:
     """Matrix D with D[k, j] = <T_z e_j, e_k>, k < nrows, j < ncols.
 
     Row truncation is exact: row k of column j+1 only references rows
-    <= k of column j, so the stored entries equal the untruncated ones.
+    < k of columns j and j-1, so the stored entries equal the untruncated
+    ones.
     The column tail bound records how much of each column's unit mass
     lies beyond the stored rows."""
 
@@ -97,61 +98,49 @@ class DisplacementMatrix:
         return self.entries.conj().T @ np.asarray(a, dtype=complex)
 
 
-# Roundoff in the column recurrence is amplified by roughly e^{|z|^2/2};
-# beyond this threshold the multi-column build switches to extended
-# precision (the single-column path is always the stable log-domain form).
-_RECURRENCE_ZSQ_LIMIT = 32.0
-
-
-def _displacement_columns_mp(z: complex, n: int, ncols: int) -> np.ndarray:
-    """Extended-precision column recurrence for large |z|, where double
-    precision loses ~ |z|^2/2 nats to error amplification."""
-    import mpmath as mp
-
-    zsq = abs(z) ** 2
-    with mp.workdps(30 + int(math.ceil(0.25 * zsq))):
-        mz = mp.mpc(z)
-        col = [mp.conj(mz) ** k * mp.exp(-zsq / 2) / mp.sqrt(mp.factorial(k))
-               for k in range(n)]
-        out = np.empty((n, ncols), dtype=complex)
-        out[:, 0] = [complex(c) for c in col]
-        sq = [mp.sqrt(k) for k in range(n)]
-        for j in range(ncols - 1):
-            root = mp.sqrt(j + 1)
-            nxt = [(-mz * col[0]) / root]
-            nxt.extend((sq[k] * col[k - 1] - mz * col[k]) / root
-                       for k in range(1, n))
-            col = nxt
-            out[:, j + 1] = [complex(c) for c in col]
-    return out
-
-
 def displacement_matrix(z: complex, n: int, ncols: int | None = None
                         ) -> DisplacementMatrix:
-    """Build the translation matrix column by column.
+    """Build the translation matrix from its real form at r = |z|.
 
-    Column 0 is the coherent vector; column j+1 follows from
-    T_z(zeta f) = (zeta - z) T_z f, i.e. multiply-by-zeta (a weighted
-    shift in coefficients) conjugated by the translation."""
+    Column 0 is the coherent vector.  Below the diagonal, k = j + d,
+    D[k, j](r) = sqrt(j!/k!) r^d e^{-r^2/2} L_j^{(d)}(r^2) (Cahill and
+    Glauber); the normalized Laguerre recurrence in j runs on these scaled
+    entries, vectorized over d, so nothing overflows or cancels
+    catastrophically.  Above the diagonal D[k, j] = (-1)^{j-k} D[j, k], and
+    the phase of z enters as e^{-i(k-j) arg z}."""
     if n < 1:
         raise ParameterError(f"matrix size must be positive, got {n}")
     z = complex(z)
     ncols = n if ncols is None else int(ncols)
     if not 1 <= ncols <= n:
         raise ParameterError(f"ncols must lie in [1, {n}], got {ncols}")
-    if ncols > 1 and abs(z) ** 2 > _RECURRENCE_ZSQ_LIMIT:
-        return DisplacementMatrix(z=z,
-                                  entries=_displacement_columns_mp(z, n, ncols))
-    out = np.empty((n, ncols), dtype=complex)
-    out[:, 0] = coherent_coefficients(z, n)
-    sq = np.sqrt(np.arange(n))
+    first = coherent_coefficients(z, n)
+    if ncols == 1:
+        return DisplacementMatrix(z=z, entries=first[:, None])
+    x = abs(z) ** 2
+    real = np.zeros((n, ncols))
+    # f[d] = D[j + d, j](r) and step[d] = f[d] - D[j - 1 + d, j - 1](r).
+    # With s_j = sqrt(j (j + d)) and u_j = (sqrt(j + d) - sqrt(j))^2 / 2 the
+    # recurrence reads s_{j+1} step' = (u_j + u_{j+1} - x) f + s_j step:
+    # no cancellation near the double root at small r^2, where the plain
+    # form loses ~ j^2 ulps.
+    f = step = np.abs(first)
+    real[:, 0] = f
+    root = np.sqrt(np.arange(n + 1))
     for j in range(ncols - 1):
-        col = out[:, j]
-        shifted = np.empty(n, dtype=complex)
-        shifted[0] = 0.0
-        shifted[1:] = sq[1:] * col[:-1]
-        out[:, j + 1] = (shifted - z * col) / math.sqrt(j + 1)
-    return DisplacementMatrix(z=z, entries=out)
+        m = n - j - 1
+        rj, rj1 = root[j:j + m], root[j + 1:j + 1 + m]
+        u = 0.5 * ((rj - root[j]) ** 2 + (rj1 - root[j + 1]) ** 2)
+        step = ((u - x) * f[:m] + root[j] * rj * step[:m]) \
+            / (root[j + 1] * rj1)
+        f = f[:m] + step
+        real[j + 1:, j + 1] = f
+    upper = np.triu_indices(ncols, 1)
+    sign = 1 - 2 * ((upper[1] - upper[0]) % 2)
+    real[upper] = sign * real[upper[1], upper[0]]
+    phase = np.exp(-1j * np.angle(z) * np.arange(n))
+    return DisplacementMatrix(
+        z=z, entries=real * phase[:, None] * phase[:ncols].conj())
 
 
 def restriction_values(f: CoefVec, lam: complex, m: int) -> np.ndarray:

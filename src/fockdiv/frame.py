@@ -8,10 +8,10 @@ carries the truncation tail."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .divisor import Divisor
 from .errors import (NotInterpolatingError, ParameterError, ResourceError,
@@ -83,11 +83,6 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
         raise ResourceError(
             f"restriction matrix would hold {total * truncation} entries "
             f"(cap {MAX_ENTRIES})")
-    if total > truncation:
-        warnings.warn(
-            f"truncation {truncation} below total multiplicity {total}; "
-            "interpolation-side results will be rank deficient",
-            stacklevel=2)
     centers = _scaled_centers(divisor)
     rows = np.empty((total, truncation), dtype=complex)
     index = []
@@ -102,7 +97,7 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
         pos += m
         for k in range(m, int(divisor.mults[node])):
             # jets beyond the truncation cannot be represented; keep zero
-            # rows so the shape stays sum(m); flagged via the warning above
+            # rows so the shape stays sum(m)
             rows[pos, :] = 0.0
             index.append((node, k))
             pos += 1
@@ -144,12 +139,15 @@ def interpolation_constant(divisor: Divisor, truncation: int) -> float:
     unit data vectors: M_X(N)^2 = max_i (G^{-1})_{ii} with G = R R* the
     jet Gram matrix.  Nonincreasing in the truncation; its limit
     lower-bounds the true interpolation constant."""
-    rmat = restriction_matrix(divisor, truncation)
-    total = rmat.nrows
+    total = divisor.total_multiplicity
     if total > truncation:
         raise NotInterpolatingError(
             f"total multiplicity {total} exceeds truncation {truncation}")
-    u, svals, _ = np.linalg.svd(rmat.matrix, full_matrices=False)
+    rmat = restriction_matrix(divisor, truncation)
+    # QR-iteration SVD: divide and conquer (gesdd) fails to converge on
+    # some of the near-singular square R of the dichotomy family
+    u, svals, _ = linalg.svd(rmat.matrix, full_matrices=False,
+                             lapack_driver="gesvd")
     if svals[-1] <= RANK_RTOL * svals[0]:
         null_dir = u[:, -1]
         raise NotInterpolatingError(

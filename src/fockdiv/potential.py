@@ -359,13 +359,8 @@ def build_radial_weight(q: float, a: float,
             if r <= edge else 0.0
 
     gp = np.array([gprime(r) for r in inner])
-    # cumulative integral of g' from the first grid point; g(edge) = 0
-    cum = integrate.cumulative_trapezoid(gp, inner, initial=0.0)
-    # refine with Richardson-style correction: use Simpson on the uniform grid
-    try:
-        cum = integrate.cumulative_simpson(gp, x=inner, initial=0.0)
-    except AttributeError:
-        pass
+    # cumulative Simpson integral of g' from the first grid point; g(edge) = 0
+    cum = integrate.cumulative_simpson(gp, x=inner, initial=0.0)
     g_in = cum - cum[-1]
     # the missing piece below the first grid point: g' ~ O(r), negligible
     h_in = q * q * (2 * np.log(inner / edge) + 1 - (inner / edge) ** 2)

@@ -1,10 +1,12 @@
 """Shared fixtures and independent numerical oracles.
 
 The oracles here deliberately avoid the library's own fast paths: matrix
-elements come from dense 2-D quadrature over the plane, tail functions
-from scipy's regularized incomplete gamma, areas from plain grid counts.
+elements come from dense 2-D quadrature over the plane or from the
+closed Laguerre form in extended precision, tail functions from scipy's
+regularized incomplete gamma, areas from plain grid counts.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -37,6 +39,41 @@ def displacement_oracle(z: complex, n: int, n_rad: int = 240,
                                         - 0.5 * lg[None, :])
     envelope = (weight * np.exp(-np.abs(pts) ** 2))[:, None]
     return (np.conj(basis) * envelope).T @ translated / np.pi
+
+
+def displacement_entry_mp(z: complex, k: int, j: int) -> complex:
+    """<T_z e_j, e_k> from the closed form of Cahill and Glauber (Phys. Rev.
+    177, 1857 (1969)): with r = |z|, lo = min(k, j), d = |k - j|,
+    sqrt(lo!/(lo + d)!) r^d e^{-r^2/2} L_lo^{(d)}(r^2), times (-1)^d when
+    k < j and the phase e^{-i (k - j) arg z}.  mpmath's hypergeometric
+    evaluation raises its working precision past the cancellation in L."""
+    lo, d = min(k, j), abs(k - j)
+    with mp.workdps(30):
+        r = mp.mpf(abs(z))
+        x = r * r
+        val = (mp.sqrt(mp.factorial(lo) / mp.factorial(lo + d)) * r ** d
+               * mp.exp(-x / 2) * mp.laguerre(lo, d, x))
+        if k < j and d % 2:
+            val = -val
+        return complex(val) * np.exp(-1j * (k - j) * np.angle(z))
+
+
+def lens_area_grid(c1, r1, c2, r2, n: int = 400) -> float:
+    """Grid count of the area of the intersection of two discs."""
+    rmin = min(r1, r2)
+    h = max(rmin / n, 1e-9)
+    xmin = max(c1.real - r1, c2.real - r2)
+    xmax = min(c1.real + r1, c2.real + r2)
+    ymin = max(c1.imag - r1, c2.imag - r2)
+    ymax = min(c1.imag + r1, c2.imag + r2)
+    if xmin >= xmax or ymin >= ymax:
+        return 0.0
+    xs = np.arange(xmin + h / 2, xmax, h)
+    ys = np.arange(ymin + h / 2, ymax, h)
+    gx, gy = np.meshgrid(xs, ys)
+    pts = gx + 1j * gy
+    inside = (np.abs(pts - c1) < r1) & (np.abs(pts - c2) < r2)
+    return float(inside.sum()) * h * h
 
 
 def random_divisor(rng: np.random.Generator, max_nodes: int = 4,

@@ -1,6 +1,10 @@
 """End-to-end CLI runs: exit codes, report formats, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,23 @@ DICHOTOMY_CFG = """\
 multiplicities = 1,4
 params = 0.6,1.0
 """
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_subprocess(tmp_path, cfg_text, code, **env):
+    """Run python -c code in a fresh interpreter with the package on the
+    path; the code sees the config path as sys.argv[1] and an output
+    directory as sys.argv[2]."""
+    cfg = tmp_path / "sub.ini"
+    cfg.write_text(cfg_text, encoding="utf-8")
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+        env=full_env, capture_output=True, text=True, timeout=300)
 
 
 def run(tmp_path, name, cfg_text, command):
@@ -144,3 +165,25 @@ class TestDichotomyFamily:
             rows = dichotomy_sweep([mult], params)
             best.append(min(r["max_metric"] for r in rows))
         assert best[0] < best[1] < best[2]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_svd_converges_at_m64(self, tmp_path, threads):
+        # near-singular square R on which LAPACK's divide-and-conquer SVD
+        # fails to converge, depending on the BLAS thread count
+        cfg = ("[dichotomy]\nmultiplicities = 64\n"
+               "params = 0.882,0.884,0.886,1.099\n")
+        code = ("import sys; from fockdiv.cli import main; sys.exit(main("
+                "['dichotomy', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+        proc = run_subprocess(tmp_path, cfg, code,
+                              OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_runs_without_mpmath(self, tmp_path):
+        # heavy nodes, |z|^2 up to 36, still build R in double precision
+        cfg = "[dichotomy]\nmultiplicities = 4,36\nparams = 0.8,1.0\n"
+        code = ("import sys; from fockdiv.cli import main; rc = main("
+                "['dichotomy', '--config', sys.argv[1], '--out', sys.argv[2]]);"
+                " print('mpmath' in sys.modules); sys.exit(rc)")
+        proc = run_subprocess(tmp_path, cfg, code)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divisor
-from fockdiv.divisor import (Divisor, Region, _lens_area, _lens_area_grid,
+from conftest import lens_area_grid, random_divisor
+from fockdiv.divisor import (Divisor, Region, _lens_area,
                              covering_margin, disjointness_check, lattice,
                              overlap_constant, overlap_count, radial_rings,
                              thin_subdivisor, triple_disc_witness)
@@ -195,9 +195,19 @@ class TestLensArea:
            r2=st.floats(min_value=0.2, max_value=2.5))
     @settings(max_examples=50, deadline=None)
     def test_grid_matches_closed_form(self, d, r1, r2):
-        grid = _lens_area_grid(0j, r1, complex(d), r2)
+        grid = lens_area_grid(0j, r1, complex(d), r2)
         exact = _lens_area(d, r1, r2)
         assert grid == pytest.approx(exact, abs=0.02 * min(r1, r2) ** 2 + 1e-6)
+
+    def test_degenerate_distances(self):
+        # a subnormal distance and the tangency limits, where the cosines
+        # of the half angles round past +-1
+        assert _lens_area(5e-324, 0.25, 0.25) == pytest.approx(math.pi / 16)
+        r1, r2 = 0.8, 0.74
+        inner = math.nextafter(r1 - r2, math.inf)
+        outer = math.nextafter(r1 + r2, 0.0)
+        assert _lens_area(inner, r1, r2) == pytest.approx(math.pi * r2 ** 2)
+        assert _lens_area(outer, r1, r2) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTripleDisc:
@@ -210,11 +220,8 @@ class TestTripleDisc:
             (0j, 1.0), (1 + 0j, 1.0), (0.5 + 0.8j, 1.0))
         assert slack > 0 and area_ratio > 0
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_uniform_lower_bound(self, seed):
-        # intersecting triples never have vanishing pair overlap: the best
-        # pair keeps normalized slack and lens-area ratio bounded below
+    @staticmethod
+    def _intersecting_triple(seed):
         rng = np.random.default_rng(seed)
         while True:
             centers = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -224,12 +231,28 @@ class TestTripleDisc:
             centers = p + (centers - p) * np.minimum(
                 1.0, 0.9 * radii / np.abs(centers - p + 1e-12))
             if np.all(np.abs(centers - p) < radii):
-                break
+                return list(zip(centers, radii))
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_uniform_lower_bound(self, seed):
+        # intersecting triples never have vanishing pair overlap: the best
+        # pair keeps normalized slack and lens-area ratio bounded below
         _, slack, area_ratio = triple_disc_witness(
-            (centers[0], radii[0]), (centers[1], radii[1]),
-            (centers[2], radii[2]))
+            *self._intersecting_triple(seed))
         assert slack >= 0.1
         assert area_ratio >= 0.01
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_area_ratio_matches_grid_oracle(self, seed):
+        discs = self._intersecting_triple(seed)
+        (i, j), _, area_ratio = triple_disc_witness(*discs)
+        (ci, ri), (cj, rj) = discs[i], discs[j]
+        rmin_sq = min(ri, rj) ** 2
+        grid = lens_area_grid(complex(ci), ri, complex(cj), rj)
+        assert area_ratio * rmin_sq == pytest.approx(
+            grid, abs=0.02 * rmin_sq + 1e-6)
 
 
 class TestThinning:

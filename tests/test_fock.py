@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import displacement_oracle
+from conftest import displacement_entry_mp, displacement_oracle
 from fockdiv.errors import DomainError, ParameterError
 from fockdiv.fock import (CoefVec, basis_disc_norm, coherent_coefficients,
                           disc_local_norm_sq, displacement_matrix,
@@ -96,12 +96,31 @@ class TestDisplacementMatrix:
         small = displacement_matrix(z, 12).entries
         assert np.max(np.abs(big[:12, :12] - small)) <= 1e-13
 
-    def test_extended_precision_path_agrees(self):
-        # straddle the dispatch threshold from both sides
-        z = 5.5 + 1.5j  # |z|^2 = 32.5 > threshold
+    def test_large_center_matches_quadrature(self):
+        z = 5.5 + 1.5j  # |z|^2 = 32.5
         d = displacement_matrix(z, 120, ncols=6)
         oracle = displacement_oracle(z, 120, rmax=13.0, n_rad=400)[:, :6]
         assert np.max(np.abs(d.entries - oracle)) <= 1e-9
+
+    @pytest.mark.parametrize("zsq,n,ncols", [
+        (16, 128, 64), (31.4, 128, 64), (64, 256, 128), (144, 300, 100),
+        (600, 1000, 400), (1e-4, 1000, 400)])
+    def test_matches_laguerre_closed_form(self, zsq, n, ncols):
+        z = math.sqrt(zsq) * np.exp(0.7j)
+        d = displacement_matrix(z, n, ncols).entries
+        rng = np.random.default_rng(7)
+        corners = [(0, 0), (n - 1, ncols - 1), (n - 1, 0), (0, ncols - 1),
+                   (ncols - 1, ncols - 1)]
+        # the bulk of each column sits near sqrt(k) = sqrt(j) +- |z|
+        band = []
+        for j in rng.integers(0, ncols, size=12):
+            for shift in (1.0, -1.0, rng.uniform(-1.0, 1.0)):
+                k = round(max(math.sqrt(j) + shift * math.sqrt(zsq), 0.0) ** 2)
+                band.append((min(k, n - 1), int(j)))
+        spread = zip(rng.integers(0, n, size=12), rng.integers(0, ncols, 12))
+        for k, j in corners + band + list(spread):
+            assert abs(d[k, j] - displacement_entry_mp(z, int(k), int(j))) \
+                <= 1e-12, (k, j)
 
     def test_large_center_columns_bounded(self):
         d = displacement_matrix(7.8 + 0j, 160, ncols=10)

@@ -1,7 +1,6 @@
 """Restriction matrices, truncated frame bounds, interpolation constants."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -45,10 +44,9 @@ class TestRestrictionMatrix:
         rmat = restriction_matrix(X, 10)
         assert rmat.row_index == ((0, 0), (0, 1), (1, 0))
 
-    def test_overfull_warns_and_pads(self):
+    def test_overfull_pads(self):
         X = Divisor(np.array([0j]), np.array([5]))
-        with pytest.warns(UserWarning, match="rank deficient"):
-            rmat = restriction_matrix(X, 3)
+        rmat = restriction_matrix(X, 3)
         assert rmat.nrows == 5
         assert np.all(rmat.matrix[3:] == 0)
 
@@ -126,10 +124,14 @@ class TestInterpolationConstant:
 
     def test_overfull_raises(self):
         X = Divisor(np.array([0j]), np.array([10]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NotInterpolatingError):
-                interpolation_constant(X, 5)
+        with pytest.raises(NotInterpolatingError):
+            interpolation_constant(X, 5)
+
+    def test_overfull_raises_before_building_r(self):
+        # R would exceed the entry cap; the overfull check comes first
+        X = Divisor(np.array([0j]), np.array([100_000]))
+        with pytest.raises(NotInterpolatingError):
+            interpolation_constant(X, 10_000)
 
     def test_rank_deficiency_reports_direction(self):
         # two far nodes with heavy jets at a tiny truncation: the basis
