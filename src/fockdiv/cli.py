@@ -2,7 +2,7 @@
 
 Usage:
     fockdiv <geometry|frame|uniqueness|dichotomy> --config cfg.ini
-            [--out DIR] [--workers N]
+            [--out DIR]
 
 Config is an INI file; every report starts with '#'-prefixed provenance
 lines echoing the effective configuration.  Exit codes: 0 success,
@@ -74,16 +74,15 @@ def load_window(cfg: configparser.ConfigParser) -> dv.Region:
                                sec.getfloat("ymin"), sec.getfloat("ymax"), h)
 
 
-def _provenance(cfg: configparser.ConfigParser, command: str,
-                workers: int) -> str:
-    lines = [f"# fockdiv {command}", f"# workers={workers}"]
+def _provenance(cfg: configparser.ConfigParser, command: str) -> str:
+    lines = [f"# fockdiv {command}"]
     for section in cfg.sections():
         for key, value in sorted(cfg.items(section)):
             lines.append(f"# {section}.{key}={value}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_geometry(cfg, out: Path, header: str) -> None:
+def cmd_geometry(cfg) -> dict[str, list[str]]:
     X = load_divisor(cfg)
     W = load_window(cfg)
     margins = _floats(cfg.get("geometry", "margins", fallback="0.0"))
@@ -104,11 +103,10 @@ def cmd_geometry(cfg, out: Path, header: str) -> None:
         rows.append(f"disjoint,{C:g},expand,{int(ok)},"
                     f"{'' if worst[0] is None else worst[0]},"
                     f"{worst[2]:.12g}")
-    (out / "geometry.csv").write_text(header + "\n".join(rows) + "\n",
-                                      encoding="utf-8")
+    return {"geometry.csv": rows}
 
 
-def cmd_frame(cfg, out: Path, header: str) -> None:
+def cmd_frame(cfg) -> dict[str, list[str]]:
     X = load_divisor(cfg)
     truncations = _ints(cfg.get("frame", "truncations", fallback="120"))
     frame_rows = ["N,A,B,tail_bound"]
@@ -121,19 +119,14 @@ def cmd_frame(cfg, out: Path, header: str) -> None:
             mx_rows.append(f"{n},{mx:.12g},{n}")
         except NotInterpolatingError:
             mx_rows.append(f"{n},inf,{n}")
-    (out / "frame.csv").write_text(header + "\n".join(frame_rows) + "\n",
-                                   encoding="utf-8")
-    (out / "mx.csv").write_text(header + "\n".join(mx_rows) + "\n",
-                                encoding="utf-8")
+    return {"frame.csv": frame_rows, "mx.csv": mx_rows}
 
 
-def cmd_uniqueness(cfg, out: Path, header: str) -> None:
+def cmd_uniqueness(cfg) -> dict[str, list[str]]:
     X = load_divisor(cfg)
     W = load_window(cfg)
     radii = _floats(cfg.get("uniqueness", "radii", fallback="10,15,20,25,30"))
     report = pt.uniqueness_certificate(X, W, radii)
-    (out / "redistribution.csv").write_text(header + report.curve.csv(),
-                                            encoding="utf-8")
     summary = ["key,value",
                f"verdict,{report.verdict}",
                f"area_K,{report.area_K:.12g}",
@@ -141,8 +134,8 @@ def cmd_uniqueness(cfg, out: Path, header: str) -> None:
                f"R0,{report.R0:.12g}",
                f"slope,{report.slope:.12g}",
                f"slope_benchmark,{report.slope_benchmark:.12g}"]
-    (out / "uniqueness_summary.csv").write_text(
-        header + "\n".join(summary) + "\n", encoding="utf-8")
+    return {"redistribution.csv": report.curve.csv().splitlines(),
+            "uniqueness_summary.csv": summary}
 
 
 def dichotomy_point(mult: int, param: float) -> tuple[int, float, float]:
@@ -184,7 +177,7 @@ def dichotomy_sweep(mults, params) -> list[dict]:
     return rows
 
 
-def cmd_dichotomy(cfg, out: Path, header: str) -> None:
+def cmd_dichotomy(cfg) -> dict[str, list[str]]:
     sec = cfg["dichotomy"] if cfg.has_section("dichotomy") else {}
     mults = _ints(sec.get("multiplicities", "4,16,36,64"))
     params = _floats(sec.get("params",
@@ -197,8 +190,7 @@ def cmd_dichotomy(cfg, out: Path, header: str) -> None:
         lines.append(f"{row['multiplicity']},{row['param']:g},{row['N']},"
                      f"{row['A']:.12g},{row['MX']:.12g},"
                      f"{row['inv_A']:.12g},{row['max_metric']:.12g}")
-    (out / "dichotomy.csv").write_text(header + "\n".join(lines) + "\n",
-                                       encoding="utf-8")
+    return {"dichotomy.csv": lines}
 
 
 _COMMANDS = {
@@ -214,7 +206,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
     cfg = configparser.ConfigParser()
     if not Path(args.config).exists():
@@ -223,9 +214,12 @@ def main(argv=None) -> int:
     cfg.read(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header = _provenance(cfg, args.command, args.workers)
+    header = _provenance(cfg, args.command)
     try:
-        _COMMANDS[args.command](cfg, out, header)
+        # each study returns its reports as CSV rows, keyed by file name
+        for name, rows in _COMMANDS[args.command](cfg).items():
+            (out / name).write_text(header + "\n".join(rows) + "\n",
+                                    encoding="utf-8")
     except (PreconditionError, ParameterError, DomainError,
             configparser.Error) as exc:
         print(f"fockdiv: {exc}", file=sys.stderr)

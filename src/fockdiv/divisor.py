@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError, ParameterError, PreconditionError
 
-# Chunk size for point-vs-node distance scans (keeps memory bounded).
-_CHUNK = 8192
+# Relative padding of every neighbour reach.  The tree's distances and
+# np.abs(z - c) differ by a few ulps at most, so the padded candidate sets
+# hold every node the exact comparisons below can select.
+_REACH_PAD = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -185,34 +188,56 @@ class Region:
         gx, gy = np.meshgrid(xs, ys)
         return (gx + 1j * gy).ravel()
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
+    def contains(self, pts: np.ndarray, collar: float = 0.0) -> np.ndarray:
+        """Membership in the window shrunk by the boundary collar."""
         pts = np.asarray(pts, dtype=complex)
         if self.kind == "disc":
-            return np.abs(pts) <= self.radius
+            return np.abs(pts) <= self.radius - collar
         xmin, xmax, ymin, ymax = self.rect
-        return ((pts.real >= xmin) & (pts.real <= xmax)
-                & (pts.imag >= ymin) & (pts.imag <= ymax))
+        return ((pts.real >= xmin + collar) & (pts.real <= xmax - collar)
+                & (pts.imag >= ymin + collar) & (pts.imag <= ymax - collar))
+
+
+def _xy(z: np.ndarray) -> np.ndarray:
+    return np.column_stack((z.real, z.imag))
+
+
+def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(point, node) index pairs with |point - center| <= reach, the reach
+    padded by _REACH_PAD."""
+    pairs = cKDTree(_xy(points)).sparse_distance_matrix(
+        cKDTree(_xy(centers)), reach * _REACH_PAD, output_type="ndarray")
+    return pairs["i"], pairs["j"]
 
 
 def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
                  ) -> np.ndarray:
-    """min over nodes of |z - center| - radius, chunked over points."""
+    """min over nodes of |z - center| - radius.  Every minimizing node lies
+    within d1 + (max radius - min radius) of z, d1 the distance from z to
+    its nearest center, so each point takes its k nearest centers, with k
+    grown until the k-th lies beyond that reach or k is the node count."""
+    tree = cKDTree(_xy(centers))
+    spread = radii.max() - radii.min()
     out = np.empty(points.size)
-    for lo in range(0, points.size, _CHUNK):
-        block = points[lo:lo + _CHUNK]
-        d = np.abs(block[:, None] - centers[None, :]) - radii[None, :]
-        out[lo:lo + _CHUNK] = d.min(axis=1)
+    todo, k = np.arange(points.size), 4
+    while todo.size:
+        k = min(k, centers.size)
+        d, j = tree.query(_xy(points[todo]), k=list(range(1, k + 1)))
+        out[todo] = (np.abs(points[todo, None] - centers[j]) - radii[j]
+                     ).min(axis=1)
+        reach = (d[:, 0] + spread) * _REACH_PAD
+        todo = todo[(d[:, -1] <= reach) & (k < centers.size)]
+        k *= 4
     return out
 
 
 def _count_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
                 ) -> np.ndarray:
-    out = np.empty(points.size, dtype=np.int64)
-    for lo in range(0, points.size, _CHUNK):
-        block = points[lo:lo + _CHUNK]
-        d = np.abs(block[:, None] - centers[None, :]) < radii[None, :]
-        out[lo:lo + _CHUNK] = d.sum(axis=1)
-    return out
+    """Number of open discs D(center, radius) containing each point."""
+    pi, ni = _near_pairs(points, centers, radii.max(initial=0.0))
+    inside = np.abs(points[pi] - centers[ni]) < radii[ni]
+    return np.bincount(pi[inside], minlength=points.size)
 
 
 def _circle_intersections(c1, r1, c2, r2):
@@ -245,15 +270,16 @@ def overlap_constant(divisor: Divisor, window: Region) -> int:
         raise ParameterError("window grid is empty")
     radii = divisor.radii
     extra = [divisor.centers]
-    for i in range(len(divisor)):
-        for j in range(i + 1, len(divisor)):
-            pts_ij = _circle_intersections(divisor.centers[i], radii[i],
-                                           divisor.centers[j], radii[j])
-            if pts_ij:
-                # Nudge inward so open-disc membership is unambiguous.
-                mid = (divisor.centers[i] + divisor.centers[j]) / 2
-                extra.append(np.array(
-                    [p + 1e-9 * (mid - p) for p in pts_ij]))
+    # circles meet only at center distance <= r_i + r_j <= 2 max radius
+    pairs = cKDTree(_xy(divisor.centers)).query_pairs(
+        2 * radii.max(initial=0.0) * _REACH_PAD, output_type="ndarray")
+    for i, j in pairs:
+        pts_ij = _circle_intersections(divisor.centers[i], radii[i],
+                                       divisor.centers[j], radii[j])
+        if pts_ij:
+            # Nudge inward so open-disc membership is unambiguous.
+            mid = (divisor.centers[i] + divisor.centers[j]) / 2
+            extra.append(np.array([p + 1e-9 * (mid - p) for p in pts_ij]))
     all_pts = np.concatenate([pts] + extra)
     counts = _count_scan(all_pts, divisor.centers, radii)
     return int(counts.max())
@@ -390,12 +416,7 @@ def _uncovered_radius(divisor: Divisor, C: float, window: Region,
     if not eligible.any():
         return None
     pts = window.grid()
-    if window.kind == "disc":
-        pts = pts[np.abs(pts) <= window.radius - collar]
-    else:
-        xmin, xmax, ymin, ymax = window.rect
-        pts = pts[(pts.real >= xmin + collar) & (pts.real <= xmax - collar)
-                  & (pts.imag >= ymin + collar) & (pts.imag <= ymax - collar)]
+    pts = pts[window.contains(pts, collar)]
     if pts.size == 0:
         return None
     margins = _margin_scan(pts, divisor.centers[eligible],

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from .divisor import Divisor, Region, _count_scan, disjointness_check
+from .divisor import (Divisor, Region, _count_scan, _near_pairs,
+                      disjointness_check)
 from .errors import (DomainError, ParameterError, PreconditionError,
                      VerificationError)
 
@@ -141,12 +142,7 @@ def uniqueness_certificate(divisor: Divisor, window: Region, r_list
     radii = divisor.radii
     collar = float(radii.max())
     pts = window.grid()
-    if window.kind == "disc":
-        inner = pts[np.abs(pts) <= window.radius - collar]
-    else:
-        xmin, xmax, ymin, ymax = window.rect
-        inner = pts[(pts.real >= xmin + collar) & (pts.real <= xmax - collar)
-                    & (pts.imag >= ymin + collar) & (pts.imag <= ymax - collar)]
+    inner = pts[window.contains(pts, collar)]
     if inner.size == 0:
         raise ParameterError("window too small for the collar")
     counts = _count_scan(inner, divisor.centers, radii)
@@ -206,16 +202,6 @@ def weight_v(divisor: Divisor, z: complex) -> float:
     return total
 
 
-def _psi_on_mesh(divisor: Divisor, zs: np.ndarray) -> np.ndarray:
-    psi = divisor.alpha * np.abs(zs) ** 2
-    for lam, m in zip(divisor.centers, divisor.mults):
-        u = divisor.alpha * np.abs(zs - lam) ** 2 / m
-        mask = (u < 1.0) & (u > 0.0)
-        psi[mask] += m * (np.log(u[mask]) + 1.0 - u[mask])
-    psi[np.isin(zs, divisor.centers)] = -np.inf
-    return psi
-
-
 @dataclass(frozen=True)
 class LaplacianReport:
     h: float
@@ -254,31 +240,46 @@ def verify_psi_laplacian(divisor: Divisor, window: Region,
         ys = np.arange(window.rect[2], window.rect[3] + h / 2, h)
     gx, gy = np.meshgrid(xs, ys)
     zs = gx + 1j * gy
-    psi = _psi_on_mesh(divisor, zs)
+    flat = zs.ravel()
+    # The log singularity at each center has fourth derivative of order
+    # m / d^4, so the stencil error near a center is ~ 8 m h^2 / d^4.
+    # Excluding d <= (8 m / tol_scale)^{1/4} (h-independent) keeps that
+    # error below the quoted tolerance.
+    eps = np.maximum(10.0 * h, (8.0 * divisor.mults / tol_scale) ** 0.25)
+    # Every node-wise term and mask below is decided within this reach.
+    reach = max(divisor.radii.max(initial=0.0) + 2 * h, eps.max(initial=0.0))
+    pi, ni = _near_pairs(flat, divisor.centers, reach)
+    # in node order, so each point sums its disc terms node by node
+    order = np.argsort(ni, kind="stable")
+    pi, ni = pi[order], ni[order]
+    dists = np.abs(flat[pi] - divisor.centers[ni])
+    # psi = alpha |z|^2 + v
+    m = divisor.mults[ni]
+    u = divisor.alpha * dists ** 2 / m
+    hit = (u < 1.0) & (u > 0.0)
+    psi = divisor.alpha * np.abs(flat) ** 2
+    np.add.at(psi, pi[hit], m[hit] * (np.log(u[hit]) + 1.0 - u[hit]))
+    psi[np.isin(flat, divisor.centers)] = -np.inf
+    psi = psi.reshape(zs.shape)
     lap = np.full(zs.shape, np.nan)
     lap[1:-1, 1:-1] = (psi[2:, 1:-1] + psi[:-2, 1:-1] + psi[1:-1, 2:]
                        + psi[1:-1, :-2] - 4 * psi[1:-1, 1:-1]) / (h * h)
-    if len(divisor):
-        dists = np.abs(zs[..., None] - divisor.centers[None, None, :])
-        margin = np.min(dists - divisor.radii[None, None, :], axis=-1)
-        boundary_dist = np.min(np.abs(dists - divisor.radii[None, None, :]),
-                               axis=-1)
-        # The log singularity at each center has fourth derivative of order
-        # m / d^4, so the stencil error near a center is ~ 8 m h^2 / d^4.
-        # Excluding d <= (8 m / tol_scale)^{1/4} (h-independent) keeps that
-        # error below the quoted tolerance.
-        eps = np.maximum(10.0 * h,
-                         (8.0 * divisor.mults / tol_scale) ** 0.25)
-        clear_of_centers = np.all(dists > eps[None, None, :], axis=-1)
-    else:
-        margin = np.full(zs.shape, np.inf)
-        boundary_dist = np.full(zs.shape, np.inf)
-        clear_of_centers = np.full(zs.shape, True)
-    valid = np.isfinite(lap) & (boundary_dist > 2 * h)
+    lap = lap.ravel()
+    # The node-wise conditions from the pairs alone: nodes beyond the reach
+    # have |z - c| - r > 2 h and |z - c| > eps.
+    excess = dists - divisor.radii[ni]
+    in_some_disc = np.zeros(flat.size, dtype=bool)
+    in_some_disc[pi[excess < 0]] = True
+    outside_all = np.ones(flat.size, dtype=bool)
+    outside_all[pi[excess <= 0]] = False
+    valid = np.isfinite(lap)
+    valid[pi[np.abs(excess) <= 2 * h]] = False
+    clear_of_centers = np.ones(flat.size, dtype=bool)
+    clear_of_centers[pi[dists <= eps[ni]]] = False
     if window.kind == "disc":
-        valid &= np.abs(zs) <= window.radius - 2 * h
-    inside = valid & (margin < 0) & clear_of_centers
-    outside = valid & (margin > 0)
+        valid &= np.abs(flat) <= window.radius - 2 * h
+    inside = valid & in_some_disc & clear_of_centers
+    outside = valid & outside_all
     dev_in = float(np.max(np.abs(lap[inside]))) if inside.any() else 0.0
     dev_out = float(np.max(np.abs(lap[outside] - 4 * divisor.alpha))) \
         if outside.any() else 0.0

@@ -3,8 +3,14 @@
 The oracles here deliberately avoid the library's own fast paths: matrix
 elements come from dense 2-D quadrature over the plane or from the
 closed Laguerre form in extended precision, tail functions from scipy's
-regularized incomplete gamma, areas from plain grid counts.
+regularized incomplete gamma, areas from plain grid counts, disc scans
+from comparing every point with every node.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -74,6 +80,49 @@ def lens_area_grid(c1, r1, c2, r2, n: int = 400) -> float:
     pts = gx + 1j * gy
     inside = (np.abs(pts - c1) < r1) & (np.abs(pts - c2) < r2)
     return float(inside.sum()) * h * h
+
+
+def dense_count_scan(points, centers, radii) -> np.ndarray:
+    """Number of open discs containing each point, every node compared."""
+    return (np.abs(points[:, None] - centers[None, :])
+            < radii[None, :]).sum(axis=1)
+
+
+def dense_margin_scan(points, centers, radii) -> np.ndarray:
+    """min over all nodes of |z - center| - radius."""
+    return (np.abs(points[:, None] - centers[None, :])
+            - radii[None, :]).min(axis=1)
+
+
+def dense_overlap_constant(divisor: dv.Divisor, window: dv.Region) -> int:
+    """overlap_constant with the intersection points of every node pair
+    and dense counts."""
+    c, r = divisor.centers, divisor.radii
+    extra = [c]
+    for i in range(len(divisor)):
+        for j in range(i + 1, len(divisor)):
+            pts_ij = dv._circle_intersections(c[i], r[i], c[j], r[j])
+            if pts_ij:
+                mid = (c[i] + c[j]) / 2
+                extra.append(np.array([p + 1e-9 * (mid - p) for p in pts_ij]))
+    pts = np.concatenate([window.grid()] + extra)
+    return int(dense_count_scan(pts, c, r).max())
+
+
+def child_peak_rss_mb(code: str) -> float:
+    """Peak resident memory of a fresh interpreter running code.  Read as
+    VmHWM, the peak of the child's own address space: on Linux the child's
+    getrusage ru_maxrss starts from the peak of the process that spawned
+    it, here the whole pytest run."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code += ("\nwith open('/proc/self/status') as fh:\n"
+             "    print(next(ln for ln in fh if ln.startswith('VmHWM:')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    return int(proc.stdout.split()[-2]) / 1024.0
 
 
 def random_divisor(rng: np.random.Generator, max_nodes: int = 4,

@@ -110,6 +110,7 @@ class TestReports:
         lines = text.splitlines()
         assert lines[0].startswith("# fockdiv geometry")
         assert any(line.startswith("# divisor.spacing=") for line in lines)
+        assert not any(line.startswith("# workers=") for line in lines)
 
     def test_frame_csv_headers(self, tmp_path):
         X = Divisor(np.array([0j, 1.5 + 0j]), np.array([2, 2]))

@@ -1,17 +1,20 @@
 """Divisor I/O, constructions, and disc-geometry scans."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lens_area_grid, random_divisor
-from fockdiv.divisor import (Divisor, Region, _lens_area,
-                             covering_margin, disjointness_check, lattice,
-                             overlap_constant, overlap_count, radial_rings,
-                             thin_subdivisor, triple_disc_witness)
+from conftest import (child_peak_rss_mb, dense_count_scan, dense_margin_scan,
+                      dense_overlap_constant, lens_area_grid, random_divisor)
+from fockdiv.divisor import (Divisor, Region, _count_scan, _lens_area,
+                             _margin_scan, covering_margin,
+                             disjointness_check, lattice, overlap_constant,
+                             overlap_count, radial_rings, thin_subdivisor,
+                             triple_disc_witness)
 from fockdiv.errors import DomainError, ParameterError, PreconditionError
 
 
@@ -147,6 +150,94 @@ class TestOverlap:
         full = overlap_constant(X, W)
         sub = X.subset(np.arange(len(X)) < max(1, len(X) - 1))
         assert overlap_constant(sub, W) <= full
+
+
+@st.composite
+def scan_cases(draw):
+    """(points, centers, radii, C): centers on a half-integer grid (exact
+    distance ties) or anywhere, equal or mixed radii, and points at random,
+    at the centers, on every circle at c +- r and c +- i r, on the
+    half-integer grid, and far outside every disc."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        coord = st.integers(min_value=-8, max_value=8).map(lambda k: k / 2)
+    else:
+        coord = st.floats(min_value=-5, max_value=5)
+    xy = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n,
+                       unique=True))
+    centers = np.array([complex(x, y) for x, y in xy])
+    if draw(st.booleans()):
+        radii = np.full(n, draw(st.sampled_from([0.5, 1.0, math.sqrt(2),
+                                                 2.0])))
+    else:
+        mults = draw(st.lists(st.integers(min_value=1, max_value=9),
+                              min_size=n, max_size=n))
+        alpha = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        radii = np.sqrt(np.array(mults) / alpha)
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2 ** 32 - 1)))
+    ks = np.arange(-16, 17) / 2
+    points = np.concatenate([
+        rng.uniform(-7, 7, 40) + 1j * rng.uniform(-7, 7, 40),
+        centers,
+        (centers[:, None] + radii[:, None] * np.array([1, -1, 1j, -1j])
+         ).ravel(),
+        (ks[:, None] + 1j * ks[None, :]).ravel(),
+        1e3 * np.exp(2j * np.pi * np.arange(5) / 5),
+    ])
+    C = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return points, centers, radii, C
+
+
+class TestNeighbourScans:
+    @given(case=scan_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_scans_match_dense_oracles(self, case):
+        points, centers, radii, C = case
+        systems = [(centers, radii), (centers, radii + C)]
+        eligible = radii > C  # the shrunk system of covering_margin
+        if eligible.any():
+            systems.append((centers[eligible], radii[eligible] - C))
+        for c, r in systems:
+            assert np.array_equal(_count_scan(points, c, r),
+                                  dense_count_scan(points, c, r))
+            assert np.array_equal(_margin_scan(points, c, r),
+                                  dense_margin_scan(points, c, r))
+
+    def test_single_node(self):
+        c, r = np.array([1 + 1j]), np.array([2.0])
+        points = np.array([1 + 1j, 3 + 1j, 1 + 3j, -1 + 1j, 4 + 1j, 1e3 + 0j])
+        assert _count_scan(points, c, r).tolist() == [1, 0, 0, 0, 0, 0]
+        assert np.array_equal(_margin_scan(points, c, r),
+                              dense_margin_scan(points, c, r))
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_overlap_constant_matches_dense_enrichment(self, seed):
+        rng = np.random.default_rng(seed)
+        X = random_divisor(rng, max_nodes=12, max_mult=6, scale=1.5)
+        W = Region.disc(5.0, 0.7)
+        assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+
+    def test_overlap_constant_lattice(self):
+        X = lattice(1.5, 2, 6.0, hole_radius=2.0)
+        W = Region.disc(7.0, 0.3)
+        assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+
+    def test_uniqueness_config_scans_bounded_memory(self):
+        # the dense scans peaked above 600 MB on this lattice and window
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            "uniqueness.ini"
+        code = (
+            "import configparser\n"
+            "from fockdiv.cli import load_divisor, load_window\n"
+            "from fockdiv.divisor import _count_scan, covering_margin\n"
+            "cfg = configparser.ConfigParser()\n"
+            f"cfg.read({str(config)!r})\n"
+            "X, W = load_divisor(cfg), load_window(cfg)\n"
+            "covering_margin(X, 0.0, W)\n"
+            "_count_scan(W.grid(), X.centers, X.radii)\n")
+        assert child_peak_rss_mb(code) < 200
 
 
 class TestCoveringAndDisjointness:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import child_peak_rss_mb
 from fockdiv.divisor import Divisor, Region
 from fockdiv.errors import (DomainError, ParameterError, PreconditionError)
 from fockdiv.fock import CoefVec
@@ -173,6 +174,15 @@ class TestPsiLaplacian:
         X = Divisor(np.array([0j]), np.array([4]))
         with pytest.raises(ParameterError):
             verify_psi_laplacian(X, Region.disc(5.0, 0.5))
+
+    def test_bounded_memory(self):
+        # 524 nodes on a 445 x 445 mesh: points x nodes complex arrays
+        # alone would take 1.7 GB
+        code = ("from fockdiv.divisor import Region, lattice\n"
+                "from fockdiv.potential import verify_psi_laplacian\n"
+                "verify_psi_laplacian(lattice(1.8, 2, 20.0, hole_radius=2.5),"
+                " Region.disc(20.0, 0.09))\n")
+        assert child_peak_rss_mb(code) < 400
 
 
 class TestRadialWeight:
