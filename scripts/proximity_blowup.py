@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from fockdiv.divisor import Divisor
-from fockdiv.errors import NotInterpolatingError
-from fockdiv.frame import interpolation_constant
+from fockdiv.frame import frame_bounds
 
 
 def main():
@@ -30,11 +29,8 @@ def main():
     for d in (float(x) for x in args.distances.split(",")):
         X = Divisor(np.array([-d / 2 + 0j, d / 2 + 0j]),
                     np.array([args.mult, args.mult]))
-        try:
-            mx = f"{interpolation_constant(X, args.truncation):.6g}"
-        except NotInterpolatingError:
-            mx = "inf"
-        rows.append(f"{d:g},{mx},{args.truncation}")
+        mx = frame_bounds(X, args.truncation).mx
+        rows.append(f"{d:g},{mx:.6g},{args.truncation}")
         print(rows[-1])
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "proximity.csv").write_text("\n".join(rows) + "\n",

@@ -315,23 +315,36 @@ def disjointness_check(divisor: Divisor, C: float, expand: bool = True
     as disjoint).  Returns (ok, (i, j, violation)) for the worst pair."""
     radii = divisor.radii
     if expand:
-        centers = divisor.centers
-        rho = radii + C
-    else:
-        eligible = radii > C
-        centers = divisor.centers[eligible]
-        rho = radii[eligible] - C
+        return _worst_overlap(divisor.centers, radii + C)
+    eligible = radii > C
+    return _worst_overlap(divisor.centers[eligible], radii[eligible] - C)
+
+
+def _worst_overlap(centers: np.ndarray, rho: np.ndarray
+                   ) -> tuple[bool, tuple]:
+    """(ok, (i, j, violation)) for the pair i < j maximizing rho_i + rho_j
+    - |c_j - c_i|, the smallest (i, j) among ties; ok when the violation is
+    at most 1e-12.  A pair farther apart than the reach violates by less
+    than 2 max(rho) - reach, so the reach starts at 2 max(rho) and doubles
+    until the best candidate beats that or every pair is a candidate."""
     n = centers.size
-    worst = (None, None, -math.inf)
-    for i in range(n):
-        d = np.abs(centers[i + 1:] - centers[i])
-        viol = rho[i] + rho[i + 1:] - d
-        if viol.size:
-            j = int(np.argmax(viol))
-            if viol[j] > worst[2]:
-                worst = (i, i + 1 + j, float(viol[j]))
-    if worst[0] is None:
+    if n < 2:
         return True, (None, None, 0.0)
+    tree = cKDTree(_xy(centers))
+    top = 2 * rho.max()
+    reach = top if top > 0 else 1.0
+    while True:
+        pairs = tree.query_pairs(reach * _REACH_PAD, output_type="ndarray")
+        if len(pairs):
+            i, j = pairs[:, 0], pairs[:, 1]
+            viol = rho[i] + rho[j] - np.abs(centers[j] - centers[i])
+            best = viol.max()
+            if best >= top - reach or len(pairs) == n * (n - 1) // 2:
+                break
+        reach *= 2
+    ties = np.flatnonzero(viol == best)
+    k = ties[np.lexsort((j[ties], i[ties]))[0]]
+    worst = (int(i[k]), int(j[k]), float(viol[k]))
     return worst[2] <= 1e-12, worst
 
 

@@ -16,10 +16,6 @@ class PreconditionError(RuntimeError):
 class NotInterpolatingError(PreconditionError):
     """Restriction matrix is rank deficient at the given truncation."""
 
-    def __init__(self, message, null_direction=None):
-        super().__init__(message)
-        self.null_direction = null_direction
-
 
 class VerificationError(RuntimeError):
     """A numerical verification that should succeed did not."""

@@ -21,10 +21,7 @@ from .fock import CoefVec, coherent_coefficients, displacement_matrix, \
 
 # Caps and thresholds (see module design notes in README).
 MAX_ENTRIES = 80_000_000
-DENSE_EIG_LIMIT = 2000
 RANK_RTOL = 1e-12
-ITER_TOL = 1e-10
-ITER_MAXITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -48,15 +45,18 @@ class RestrictionMatrix:
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Extreme eigenvalues of the truncated Gram operator.  lower is an
-    upper estimate of the true lower frame bound, upper a lower estimate of
-    the true upper bound (truncation shrinks the test space)."""
+    """Frame bounds and interpolation constant of the truncated restriction
+    matrix R.  lower (A) is an upper estimate of the true lower frame
+    bound, upper (B) a lower estimate of the true upper bound (truncation
+    shrinks the test space); mx (M_X) is inf when R has more rows than
+    columns or is rank deficient."""
 
     truncation: int
     lower: float
     upper: float
     tail_bound: float
     test_space: str = "coefficient vectors of degree < truncation"
+    mx: float = math.inf
 
     def __post_init__(self):
         if not 0 <= self.lower <= self.upper + 1e-12:
@@ -105,33 +105,34 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
                              truncation=truncation, tail_bound=tail)
 
 
-def _extreme_eigenvalues(gram: np.ndarray) -> tuple[float, float]:
-    n = gram.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        vals = np.linalg.eigvalsh(gram)
-        return float(vals[0]), float(vals[-1])
-    from scipy.sparse.linalg import eigsh
-    try:
-        hi = eigsh(gram, k=1, which="LA", tol=ITER_TOL,
-                   maxiter=ITER_MAXITER, return_eigenvectors=False)
-        lo = eigsh(gram, k=1, sigma=0.0, which="LM", tol=ITER_TOL,
-                   maxiter=ITER_MAXITER, return_eigenvectors=False)
-    except Exception as exc:
-        raise VerificationError(
-            f"extremal eigenvalue iteration failed: {exc}") from exc
-    return float(max(lo[0], 0.0)), float(hi[0])
-
-
 def frame_bounds(divisor: Divisor, truncation: int) -> FrameReport:
-    """Extreme eigenvalues of G = R* R on the truncated space."""
+    """A, B and M_X from one restriction matrix R.  With more rows than
+    columns M_X is inf and A, B are the extreme eigenvalues of G = R* R;
+    otherwise one SVD gives B = sigma_max^2, A = sigma_min^2 (0 for wide
+    R) and M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags both: if
+    sigma_min <= RANK_RTOL sigma_max, then A = 0 and M_X = inf."""
     if len(divisor) == 0:
         return FrameReport(truncation=truncation, lower=0.0, upper=0.0,
                            tail_bound=0.0)
     rmat = restriction_matrix(divisor, truncation)
-    gram = rmat.matrix.conj().T @ rmat.matrix
-    lo, hi = _extreme_eigenvalues(gram)
-    return FrameReport(truncation=truncation, lower=max(lo, 0.0), upper=hi,
-                       tail_bound=rmat.tail_bound)
+    if rmat.nrows > truncation:
+        vals = np.linalg.eigvalsh(rmat.matrix.conj().T @ rmat.matrix)
+        return FrameReport(truncation=truncation,
+                           lower=max(float(vals[0]), 0.0),
+                           upper=float(vals[-1]), tail_bound=rmat.tail_bound)
+    # QR-iteration SVD: divide and conquer (gesdd) fails to converge on
+    # some of the near-singular square R of the dichotomy family
+    u, svals, _ = linalg.svd(rmat.matrix, full_matrices=False,
+                             lapack_driver="gesvd")
+    lower, mx = 0.0, math.inf
+    if svals[-1] > RANK_RTOL * svals[0]:
+        if rmat.nrows == truncation:
+            lower = float(svals[-1] ** 2)
+        gram_inv_diag = (np.abs(u) ** 2 / svals[None, :] ** 2).sum(axis=1)
+        mx = math.sqrt(gram_inv_diag.max())
+    return FrameReport(truncation=truncation, lower=lower,
+                       upper=float(svals[0] ** 2), tail_bound=rmat.tail_bound,
+                       mx=mx)
 
 
 def interpolation_constant(divisor: Divisor, truncation: int) -> float:
@@ -143,19 +144,12 @@ def interpolation_constant(divisor: Divisor, truncation: int) -> float:
     if total > truncation:
         raise NotInterpolatingError(
             f"total multiplicity {total} exceeds truncation {truncation}")
-    rmat = restriction_matrix(divisor, truncation)
-    # QR-iteration SVD: divide and conquer (gesdd) fails to converge on
-    # some of the near-singular square R of the dichotomy family
-    u, svals, _ = linalg.svd(rmat.matrix, full_matrices=False,
-                             lapack_driver="gesvd")
-    if svals[-1] <= RANK_RTOL * svals[0]:
-        null_dir = u[:, -1]
+    mx = frame_bounds(divisor, truncation).mx
+    if math.isinf(mx):
         raise NotInterpolatingError(
             f"restriction matrix is rank deficient at truncation "
-            f"{truncation} (sigma_min/sigma_max = "
-            f"{svals[-1] / svals[0]:.3g})", null_direction=null_dir)
-    gram_inv_diag = (np.abs(u) ** 2 / svals[None, :] ** 2).sum(axis=1)
-    return float(math.sqrt(gram_inv_diag.max()))
+            f"{truncation} (sigma_min/sigma_max <= {RANK_RTOL:g})")
+    return mx
 
 
 def sampling_defect_path(divisor: Divisor, path) -> list[tuple[float, float]]:

@@ -94,6 +94,22 @@ def dense_margin_scan(points, centers, radii) -> np.ndarray:
             - radii[None, :]).min(axis=1)
 
 
+def dense_disjointness_check(centers, rho) -> tuple[bool, tuple]:
+    """Worst pair violation rho_i + rho_j - |c_j - c_i| over every pair
+    i < j, the first maximum in (i, j) order."""
+    worst = (None, None, -np.inf)
+    for i in range(centers.size):
+        d = np.abs(centers[i + 1:] - centers[i])
+        viol = rho[i] + rho[i + 1:] - d
+        if viol.size:
+            j = int(np.argmax(viol))
+            if viol[j] > worst[2]:
+                worst = (i, i + 1 + j, float(viol[j]))
+    if worst[0] is None:
+        return True, (None, None, 0.0)
+    return worst[2] <= 1e-12, worst
+
+
 def dense_overlap_constant(divisor: dv.Divisor, window: dv.Region) -> int:
     """overlap_constant with the intersection points of every node pair
     and dense counts."""

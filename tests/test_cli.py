@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fockdiv.frame as fr
 from fockdiv.cli import (EXIT_OK, EXIT_PRECONDITION, dichotomy_point,
                          dichotomy_sweep, main)
 from fockdiv.divisor import Divisor
@@ -166,6 +167,24 @@ class TestDichotomyFamily:
             rows = dichotomy_sweep([mult], params)
             best.append(min(r["max_metric"] for r in rows))
         assert best[0] < best[1] < best[2]
+
+    def test_rank_rule_flags_a_and_mx_together(self):
+        # a row is either measured on both A and M_X or flagged on both
+        params = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3]
+        for row in dichotomy_sweep([4, 16, 36], params):
+            assert (row["A"] > 0) == math.isfinite(row["MX"]), row
+
+    def test_point_builds_r_once(self, monkeypatch):
+        calls = []
+        build = fr.restriction_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(fr, "restriction_matrix", counted)
+        dichotomy_point(16, 0.8)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_svd_converges_at_m64(self, tmp_path, threads):

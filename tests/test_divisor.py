@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (child_peak_rss_mb, dense_count_scan, dense_margin_scan,
+from conftest import (child_peak_rss_mb, dense_count_scan,
+                      dense_disjointness_check, dense_margin_scan,
                       dense_overlap_constant, lens_area_grid, random_divisor)
 from fockdiv.divisor import (Divisor, Region, _count_scan, _lens_area,
-                             _margin_scan, covering_margin,
+                             _margin_scan, _worst_overlap, covering_margin,
                              disjointness_check, lattice, overlap_constant,
                              overlap_count, radial_rings, thin_subdivisor,
                              triple_disc_witness)
@@ -203,6 +204,12 @@ class TestNeighbourScans:
                                   dense_count_scan(points, c, r))
             assert np.array_equal(_margin_scan(points, c, r),
                                   dense_margin_scan(points, c, r))
+            assert _worst_overlap(c, r) == dense_disjointness_check(c, r)
+            # shifted apart along the real axis (the centers lie within 15
+            # of each other) until no two discs meet
+            far = c + (2 * r.max() + 15) * np.arange(c.size)
+            assert dense_disjointness_check(far, r)[0]
+            assert _worst_overlap(far, r) == dense_disjointness_check(far, r)
 
     def test_single_node(self):
         c, r = np.array([1 + 1j]), np.array([2.0])
@@ -218,6 +225,19 @@ class TestNeighbourScans:
         X = random_divisor(rng, max_nodes=12, max_mult=6, scale=1.5)
         W = Region.disc(5.0, 0.7)
         assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           C=st.sampled_from([-4.0, 0.0, 0.5, 1.5, 2.5]),
+           scale=st.sampled_from([0.5, 1.5, 8.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_disjointness_check_matches_dense_loop(self, seed, C, scale):
+        rng = np.random.default_rng(seed)
+        X = random_divisor(rng, max_nodes=12, max_mult=9, scale=scale)
+        r = X.radii
+        assert disjointness_check(X, C, expand=True) == \
+            dense_disjointness_check(X.centers, r + C)
+        assert disjointness_check(X, C, expand=False) == \
+            dense_disjointness_check(X.centers[r > C], r[r > C] - C)
 
     def test_overlap_constant_lattice(self):
         X = lattice(1.5, 2, 6.0, hole_radius=2.0)
