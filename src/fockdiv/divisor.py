@@ -22,6 +22,8 @@ from .errors import DomainError, ParameterError, PreconditionError
 # np.abs(z - c) differ by a few ulps at most, so the padded candidate sets
 # hold every node the exact comparisons below can select.
 _REACH_PAD = 1.0 + 1e-9
+# Largest center modulus: squared distances stay finite below it.
+_CENTER_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,8 @@ class Divisor:
             raise ParameterError("centers and multiplicities differ in length")
         if np.any(mults < 1):
             raise DomainError("multiplicities must be >= 1")
+        if not np.all(np.abs(centers) <= _CENTER_LIMIT):
+            raise DomainError(f"|center| must be finite, <= {_CENTER_LIMIT:g}")
         if self.alpha <= 0:
             raise DomainError(f"alpha must be positive, got {self.alpha!r}")
         if centers.size != np.unique(centers).size:
@@ -176,17 +180,17 @@ class Region:
     def rectangle(cls, xmin, xmax, ymin, ymax, h) -> "Region":
         return cls(kind="rect", h=h, rect=(xmin, xmax, ymin, ymax))
 
+    def mesh(self) -> np.ndarray:
+        """The scan lattice over the bounding box, as a 2-D array."""
+        r = self.radius
+        xmin, xmax, ymin, ymax = self.rect or (-r, r, -r, r)
+        gx, gy = np.meshgrid(np.arange(xmin, xmax + self.h / 2, self.h),
+                             np.arange(ymin, ymax + self.h / 2, self.h))
+        return gx + 1j * gy
+
     def grid(self) -> np.ndarray:
-        if self.kind == "disc":
-            xs = np.arange(-self.radius, self.radius + self.h / 2, self.h)
-            gx, gy = np.meshgrid(xs, xs)
-            pts = (gx + 1j * gy).ravel()
-            return pts[np.abs(pts) <= self.radius]
-        xmin, xmax, ymin, ymax = self.rect
-        xs = np.arange(xmin, xmax + self.h / 2, self.h)
-        ys = np.arange(ymin, ymax + self.h / 2, self.h)
-        gx, gy = np.meshgrid(xs, ys)
-        return (gx + 1j * gy).ravel()
+        pts = self.mesh().ravel()
+        return pts[np.abs(pts) <= self.radius] if self.kind == "disc" else pts
 
     def contains(self, pts: np.ndarray, collar: float = 0.0) -> np.ndarray:
         """Membership in the window shrunk by the boundary collar."""

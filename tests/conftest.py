@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's own fast paths: matrix
 elements come from dense 2-D quadrature over the plane or from the
 closed Laguerre form in extended precision, tail functions from scipy's
 regularized incomplete gamma, areas from plain grid counts, disc scans
-from comparing every point with every node.
+from comparing every point with every node, the redistribution integral
+from adaptive quadrature over rings about each center.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gammaln
 
 import fockdiv.divisor as dv
@@ -123,6 +126,44 @@ def dense_overlap_constant(divisor: dv.Divisor, window: dv.Region) -> int:
                 extra.append(np.array([p + 1e-9 * (mid - p) for p in pts_ij]))
     pts = np.concatenate([window.grid()] + extra)
     return int(dense_count_scan(pts, c, r).max())
+
+
+def _ring_log_integral(lam_abs: float, s: float, R: float) -> float:
+    """int over theta of log(R/|lam + s e^{i theta}|), restricted to the
+    arc inside D(R)."""
+    if lam_abs + s <= R:
+        # full circle inside: circular mean of log|.| is log(max(|lam|, s))
+        return 2 * math.pi * math.log(R / max(lam_abs, s)) \
+            if max(lam_abs, s) > 0 else 0.0
+    if abs(lam_abs - s) >= R:
+        return 0.0
+    # partial arc: with psi = pi - phi, |lam + s e^{i phi}|^2 =
+    # (|lam| - s)^2 + 4 |lam| s sin^2(psi / 2), inside D(R) for psi below
+    # psi1 (doubled by symmetry); near-singular at psi = 0 when s ~ |lam|
+    c = (lam_abs * lam_abs + s * s - R * R) / (2 * lam_abs * s)
+    psi1 = math.acos(min(1.0, max(-1.0, c)))
+    gap = (lam_abs - s) ** 2
+    width = 2 * abs(lam_abs - s) / math.sqrt(lam_abs * s)
+    val, _ = integrate.quad(
+        lambda psi: math.log(R * R / (gap + 4 * lam_abs * s
+                                      * math.sin(psi / 2) ** 2)),
+        0.0, psi1, epsabs=1e-15, epsrel=1e-12, limit=200,
+        points=[width] if 0.0 < width < psi1 else None)
+    return val
+
+
+def ring_log_oracle(lam: complex, r: float, R: float) -> float:
+    """int over D(lam, r) cap D(R) of log(R/|z|) dm, as adaptive quadrature
+    over the rings |z - lam| = s, each ring's arc inside D(R) integrated
+    adaptively in the angle: coordinates about the center, not about the
+    origin as in the library."""
+    lam_abs = abs(lam)
+    val, _ = integrate.quad(
+        lambda s: s * _ring_log_integral(lam_abs, s, R), 0.0, r,
+        epsabs=0.0, epsrel=1e-11, limit=200,
+        points=[p for p in (abs(R - lam_abs), lam_abs, R + lam_abs)
+                if 0.0 < p < r] or None)
+    return val
 
 
 def child_peak_rss_mb(code: str) -> float:

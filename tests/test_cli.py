@@ -36,6 +36,16 @@ file = {path}
 truncations = 20,40
 """
 
+GEOMETRY_FILE_CFG = """\
+[divisor]
+source = file
+file = {path}
+[window]
+kind = disc
+radius = 4
+h = 0.2
+"""
+
 UNIQUENESS_CFG = """\
 [divisor]
 source = lattice
@@ -57,7 +67,24 @@ params = 0.6,1.0
 """
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+# configs/uniqueness.ini as computed by adaptive quadrature before the fixed
+# polar rule: the summary body byte for byte, and (R, I(R))
+SHIPPED_UNIQUENESS_SUMMARY = """\
+key,value
+verdict,not a zero divisor (certificate grows)
+area_K,8.37
+area_error,3.07673
+R0,3.35410196625
+slope,3134.54550844
+slope_benchmark,9.37
+"""
+SHIPPED_REDISTRIBUTION = [
+    (10, 245.494381225), (14, 527.386994517), (18, 909.472403394),
+    (22, 1390.56139527), (26, 1970.11975323), (30, 2647.94571719),
+    (34, 3423.87814949), (40, 4771.29457938)]
 
 
 def run_subprocess(tmp_path, cfg_text, code, **env):
@@ -98,6 +125,15 @@ class TestExitCodes:
         code, _ = run(tmp_path, "f", FRAME_CFG.format(path=str(bad)), "frame")
         assert code == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("re", ["nan", "1e233"])
+    def test_unusable_divisor_center(self, tmp_path, re):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"re,im,multiplicity\n0,0,2\n{re},0,2\n",
+                       encoding="utf-8")
+        code, _ = run(tmp_path, "g", GEOMETRY_FILE_CFG.format(path=str(bad)),
+                      "geometry")
+        assert code == EXIT_PRECONDITION
+
     def test_success(self, tmp_path):
         code, out = run(tmp_path, "g", GEOMETRY_CFG, "geometry")
         assert code == EXIT_OK
@@ -135,6 +171,25 @@ class TestReports:
         assert data[0] == "R,I,piR2_half,excess"
         summary = (out / "uniqueness_summary.csv").read_text(encoding="utf-8")
         assert "verdict,not a zero divisor (certificate grows)" in summary
+
+    def test_shipped_uniqueness_config(self, tmp_path):
+        out = tmp_path / "u"
+        assert main(["uniqueness", "--config",
+                     str(ROOT / "configs" / "uniqueness.ini"),
+                     "--out", str(out)]) == EXIT_OK
+
+        def body(name):
+            text = (out / name).read_text(encoding="utf-8")
+            return [ln for ln in text.splitlines(keepends=True)
+                    if not ln.startswith("#")]
+
+        assert "".join(body("uniqueness_summary.csv")) \
+            == SHIPPED_UNIQUENESS_SUMMARY
+        rows = [ln.split(",") for ln in body("redistribution.csv")[1:]]
+        assert [float(row[0]) for row in rows] \
+            == [R for R, _ in SHIPPED_REDISTRIBUTION]
+        for row, (_, value) in zip(rows, SHIPPED_REDISTRIBUTION):
+            assert float(row[1]) == pytest.approx(value, rel=1e-9)
 
     def test_dichotomy_report(self, tmp_path):
         code, out = run(tmp_path, "d", DICHOTOMY_CFG, "dichotomy")

@@ -44,6 +44,16 @@ class TestDivisorModel:
         with pytest.raises(DomainError):
             Divisor(np.array([0j]), np.array([1]), alpha=0.0)
 
+    @pytest.mark.parametrize("re", ["nan", "inf", "-inf", "1e233", "2e150"])
+    def test_rejects_nonfinite_and_huge_centers(self, re):
+        # beyond 1e150 squared distances overflow in the neighbour scans
+        with pytest.raises(DomainError):
+            Divisor.loads(f"re,im,multiplicity\n0,0,1\n{re},1,2\n")
+
+    def test_accepts_centers_up_to_limit(self):
+        X = Divisor.loads("re,im,multiplicity\n1e150,0,1\n0,-1e150,1\n")
+        assert len(X) == 2
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path, rng):

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import child_peak_rss_mb
-from fockdiv.divisor import Divisor, Region
-from fockdiv.errors import (DomainError, ParameterError, PreconditionError)
+import fockdiv.potential as pt
+from conftest import child_peak_rss_mb, ring_log_oracle
+from fockdiv.divisor import Divisor, Region, lattice
+from fockdiv.errors import (DomainError, ParameterError, PreconditionError,
+                             VerificationError)
 from fockdiv.fock import CoefVec
 from fockdiv.potential import (RedistributionCurve, build_radial_weight,
                                cutoff_interpolant_field,
@@ -78,7 +80,48 @@ class TestRedistributionIntegral:
         r = float(X.radii[0])
         got = redistribution_integral(X, R)
         want = disc_log_oracle(lam, r, R)
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @given(kind=st.sampled_from(["any", "origin", "rim", "centred",
+                                 "outside", "covers"]),
+           seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_ring_oracle(self, kind, seed):
+        # rings about the center against circles about the origin
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        m = k * k  # r = k exactly, so |lam| = r is representable
+        r = float(k)
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        R = rng.uniform(0.5, 12.0)
+        lam = {"any": complex(rng.uniform(-8, 8), rng.uniform(-8, 8)),
+               "origin": rng.uniform(0, r) * u,  # disc contains 0
+               "rim": complex(r * (1j ** int(rng.integers(4)))),  # |lam| = r
+               "centred": 0j,
+               "outside": (R + r + rng.uniform(0, 5)) * u,
+               "covers": rng.uniform(0, r) * u}[kind]
+        if kind == "covers":  # D(R) inside the disc: R < r - |lam|
+            R = rng.uniform(0.01, 0.99) * (r - abs(lam))
+        X = Divisor(np.array([lam]), np.array([m]))
+        got = redistribution_integral(X, R)
+        want = ring_log_oracle(lam, r, R)
+        if kind == "outside":
+            assert got == want == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-9)
+        if kind == "covers":
+            assert got == pytest.approx(math.pi * R * R / 2, rel=1e-12)
+
+    def test_coarse_rule_disagreement_raises(self, monkeypatch):
+        # a rule that has not converged is never returned as I(R)
+        monkeypatch.setattr(pt, "_COARSE_RULE", pt._polar_rule(3))
+        X = Divisor(np.array([5.0 + 1j]), np.array([9]))
+        with pytest.raises(VerificationError):
+            redistribution_integral(X, 6.0)
+        with pytest.raises(VerificationError):
+            uniqueness_certificate(lattice(1.2, 2, 14.0),
+                                   Region.disc(14.0, 0.3),
+                                   [5.0, 7.0, 9.0, 11.0])
 
     def test_rejects_bad_radius(self):
         X = Divisor(np.array([0j]), np.array([1]))
@@ -119,13 +162,25 @@ class TestUniquenessCertificate:
             uniqueness_certificate(X, W, [5.0, 8.0, 11.0, 14.0])
 
     def test_dense_lattice_grows(self):
-        from fockdiv.divisor import lattice
         X = lattice(spacing=1.2, mult=2, extent=18.0)
         W = Region.disc(18.0, 0.3)
         report = uniqueness_certificate(X, W, [6.0, 8.0, 10.0, 12.0, 14.0])
         assert report.grows
         assert report.area_K == pytest.approx(0.0, abs=1e-9)
         assert report.slope >= 0.8 * report.slope_benchmark
+
+    def test_fixed_rule_without_quad(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("adaptive quad on the I(R) path")
+
+        monkeypatch.setattr(pt.integrate, "quad", no_quad)
+        report = uniqueness_certificate(lattice(1.2, 2, 14.0),
+                                        Region.disc(14.0, 0.3),
+                                        [5.0, 7.0, 9.0, 11.0])
+        assert report.grows
+        # worst |I_64 - I_32| / I over the radii
+        assert math.isfinite(report.quad_error)
+        assert 0.0 <= report.quad_error <= pt.RULE_RTOL
 
 
 class TestWeightV:
