@@ -111,8 +111,8 @@ def cmd_frame(cfg) -> dict[str, list[str]]:
     truncations = _ints(cfg.get("frame", "truncations", fallback="120"))
     frame_rows = ["N,A,B,tail_bound"]
     mx_rows = ["param,MX,N"]
-    for n in truncations:
-        report = fr.frame_bounds(X, n)
+    for report in fr.frame_sweep(X, truncations):
+        n = report.truncation
         frame_rows.append(report.csv_row())
         mx_rows.append(f"{n},{report.mx:.12g},{n}")
     return {"frame.csv": frame_rows, "mx.csv": mx_rows}

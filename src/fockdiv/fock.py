@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, ParameterError
-from .specfun import _sigma_batch, find_tail_ratio_t, sigma
+from .specfun import find_tail_ratio_t, omega, sigma
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,20 @@ class CoefVec:
         return cls(c)
 
 
-def coherent_coefficients(z: complex, n: int) -> np.ndarray:
+def coherent_coefficients(z, n: int) -> np.ndarray:
     """Coefficients of T_z 1: conj(z)^k e^{-|z|^2/2} / sqrt(k!), in the log
-    domain so large |z| does not overflow."""
+    domain so large |z| does not overflow.  z is one center (result shape
+    (n,)) or an array of them (one row of n coefficients per center)."""
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
-    z = complex(z)
-    if z == 0:
-        out = np.zeros(n, dtype=complex)
-        out[0] = 1.0
-        return out
+    z = np.asarray(z, dtype=complex)[..., None]
+    r = np.abs(z)
     k = np.arange(n)
-    log_mod = k * math.log(abs(z)) - 0.5 * gammaln(k + 1) - 0.5 * abs(z) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # z = 0 leaves e_0 alone: k log|z| is 0 at k = 0, -inf beyond
+        log_pow = np.where(r > 0, k * np.log(r),
+                           np.where(k > 0, -np.inf, 0.0))
+    log_mod = log_pow - 0.5 * gammaln(k + 1) - 0.5 * r ** 2
     phase = np.exp(-1j * k * np.angle(z))
     return np.exp(log_mod) * phase
 
@@ -170,12 +172,10 @@ def basis_disc_norm(k: int, radius: float) -> float:
 def kernel_sampling_energy(z: complex, divisor) -> float:
     """Total quotient-norm energy of the normalized kernel T_z 1 against the
     divisor: sum over nodes of omega_{m-1}(alpha |z - center|^2)."""
-    from .specfun import _omega_batch
-
     if len(divisor) == 0:
         return 0.0
     rho_sq = divisor.alpha * np.abs(z - divisor.centers) ** 2
-    return float(_omega_batch(divisor.mults - 1, rho_sq).sum())
+    return float(omega(divisor.mults - 1, rho_sq).sum())
 
 
 def disc_local_norm_sq(f: CoefVec, center: complex, radius: float) -> float:
@@ -190,7 +190,7 @@ def disc_local_norm_sq(f: CoefVec, center: complex, radius: float) -> float:
     else:
         b = restriction_values(f, center, n)
     ks = np.arange(n)
-    weights = _sigma_batch(ks, np.full(n, radius * radius))
+    weights = sigma(ks, radius * radius)
     return float(np.sum(np.abs(b) ** 2 * weights))
 
 

@@ -22,6 +22,9 @@ from .fock import CoefVec, coherent_coefficients, displacement_matrix, \
 # Caps and thresholds (see module design notes in README).
 MAX_ENTRIES = 80_000_000
 RANK_RTOL = 1e-12
+# Rows per block: bounds the temporaries of the row build and of the Gram
+# and squared-norm sums, whatever the node count.
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,11 @@ def _scaled_centers(divisor: Divisor) -> np.ndarray:
 
 
 def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
-    """Assemble the (sum of multiplicities) x truncation restriction matrix."""
+    """Assemble the (sum of multiplicities) x truncation restriction matrix.
+    Multiplicity-1 nodes take their rows, the conjugated coherent vectors,
+    in one array op per block of nodes; heavier nodes one
+    displacement_matrix call each.  Jets of order k >= truncation cannot be
+    represented and keep zero rows, so the shape stays sum(m)."""
     if truncation < 1:
         raise ParameterError(f"truncation must be positive, got {truncation}")
     total = divisor.total_multiplicity
@@ -84,55 +91,115 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
             f"restriction matrix would hold {total * truncation} entries "
             f"(cap {MAX_ENTRIES})")
     centers = _scaled_centers(divisor)
-    rows = np.empty((total, truncation), dtype=complex)
-    index = []
-    tail = 0.0
-    pos = 0
-    for node, (z, m) in enumerate(zip(centers, divisor.mults)):
-        m = int(min(m, truncation))
-        d = displacement_matrix(z, truncation, ncols=m)
-        rows[pos:pos + m, :] = d.entries.conj().T
-        tail = max(tail, d.tail_bound)
-        index.extend((node, k) for k in range(m))
-        pos += m
-        for k in range(m, int(divisor.mults[node])):
-            # jets beyond the truncation cannot be represented; keep zero
-            # rows so the shape stays sum(m)
-            rows[pos, :] = 0.0
-            index.append((node, k))
-            pos += 1
-    return RestrictionMatrix(matrix=rows, row_index=tuple(index),
-                             truncation=truncation, tail_bound=tail)
+    mults = divisor.mults
+    first_row = np.cumsum(mults) - mults
+    rows = np.zeros((total, truncation), dtype=complex)
+    single = np.flatnonzero(mults == 1)
+    for i in range(0, single.size, ROW_BLOCK):
+        nodes = single[i:i + ROW_BLOCK]
+        rows[first_row[nodes]] = coherent_coefficients(
+            centers[nodes], truncation).conj()
+    for node in np.flatnonzero(mults > 1):
+        m = int(min(mults[node], truncation))
+        d = displacement_matrix(centers[node], truncation, ncols=m)
+        rows[first_row[node]:first_row[node] + m] = d.entries.conj().T
+    index = tuple((node, k) for node, m in enumerate(mults)
+                  for k in range(int(m)))
+    live = _orders(index) < truncation
+    mass = _row_mass(rows, [truncation])[live, 0]
+    return RestrictionMatrix(matrix=rows, row_index=index,
+                             truncation=truncation, tail_bound=_tail(mass))
+
+
+def _orders(row_index: tuple) -> np.ndarray:
+    return np.array([k for _, k in row_index], dtype=int)
+
+
+def _row_mass(rows: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """Squared norm of each row's first N entries, one column per N in the
+    ascending cuts, summed blockwise over the segments between them."""
+    starts = [0, *cuts[:-1]]
+    mass = np.empty((rows.shape[0], len(cuts)))
+    for i in range(0, rows.shape[0], ROW_BLOCK):
+        seg = np.add.reduceat(np.abs(rows[i:i + ROW_BLOCK, :cuts[-1]]) ** 2,
+                              starts, axis=1)
+        np.cumsum(seg, axis=1, out=mass[i:i + ROW_BLOCK])
+    return mass
+
+
+def _tail(mass: np.ndarray) -> float:
+    """Largest unit mass a represented jet functional loses to the
+    truncation."""
+    return min(1.0, float(np.max(1.0 - mass, initial=0.0)))
+
+
+def _gram(rows: np.ndarray, n: int, live: np.ndarray) -> np.ndarray:
+    """R(N)* R(N) from the live rows' first n entries, summed blockwise:
+    no conjugated copy of R."""
+    gram = np.zeros((n, n), dtype=complex)
+    for i in range(0, rows.shape[0], ROW_BLOCK):
+        blk = rows[i:i + ROW_BLOCK, :n][live[i:i + ROW_BLOCK]]
+        gram += blk.conj().T @ blk
+    return gram
+
+
+def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
+    """A, B and M_X at each truncation N, one report per N in input order,
+    all from one restriction matrix built at the largest N.  Its entries do
+    not depend on N (row truncation is exact), so R(N) is its first N
+    columns with the rows of order k >= N set to zero.
+
+    With more rows than columns M_X is inf and A, B are the extreme
+    eigenvalues of G_N = R(N)* R(N): the leading N x N block of one Gram
+    matrix while no row is cut, else the Gram of the live rows.  Otherwise
+    one SVD of R(N) gives B = sigma_max^2, A = sigma_min^2 (0 for wide R)
+    and M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags both: if
+    sigma_min <= RANK_RTOL sigma_max, then A = 0 and M_X = inf.  The tail
+    of each N comes from the rows' squared-norm sums up to N."""
+    truncations = [int(n) for n in truncations]
+    if len(divisor) == 0 or not truncations:
+        return [FrameReport(truncation=n, lower=0.0, upper=0.0,
+                            tail_bound=0.0) for n in truncations]
+    cuts = sorted(set(truncations))
+    if cuts[0] < 1:
+        raise ParameterError(f"truncation must be positive, got {cuts[0]}")
+    rmat = restriction_matrix(divisor, cuts[-1])
+    rows, tall = rmat.matrix, [n for n in cuts if rmat.nrows > n]
+    orders = _orders(rmat.row_index)
+    mass = _row_mass(rows, cuts)
+    # the tall truncations that cut no row share the Gram of the largest
+    uncut = [n for n in tall if orders.max() < n]
+    shared = _gram(rows, uncut[-1], orders < uncut[-1]) if uncut else None
+    reports = {}
+    for n, mass_n in zip(cuts, mass.T):
+        live = orders < n
+        lower, mx = 0.0, math.inf
+        if n in tall:
+            gram = shared[:n, :n] if live.all() else _gram(rows, n, live)
+            vals = np.linalg.eigvalsh(gram)
+            lower, upper = max(float(vals[0]), 0.0), float(vals[-1])
+        else:
+            # total multiplicity <= N, so no row is cut.  QR-iteration SVD:
+            # divide and conquer (gesdd) fails to converge on some of the
+            # near-singular square R of the dichotomy family
+            u, svals, _ = linalg.svd(rows[:, :n], full_matrices=False,
+                                     lapack_driver="gesvd")
+            upper = float(svals[0] ** 2)
+            if svals[-1] > RANK_RTOL * svals[0]:
+                if rmat.nrows == n:
+                    lower = float(svals[-1] ** 2)
+                gram_inv_diag = (np.abs(u) ** 2
+                                 / svals[None, :] ** 2).sum(axis=1)
+                mx = math.sqrt(gram_inv_diag.max())
+        reports[n] = FrameReport(truncation=n, lower=lower, upper=upper,
+                                 tail_bound=_tail(mass_n[live]), mx=mx)
+    return [reports[n] for n in truncations]
 
 
 def frame_bounds(divisor: Divisor, truncation: int) -> FrameReport:
-    """A, B and M_X from one restriction matrix R.  With more rows than
-    columns M_X is inf and A, B are the extreme eigenvalues of G = R* R;
-    otherwise one SVD gives B = sigma_max^2, A = sigma_min^2 (0 for wide
-    R) and M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags both: if
-    sigma_min <= RANK_RTOL sigma_max, then A = 0 and M_X = inf."""
-    if len(divisor) == 0:
-        return FrameReport(truncation=truncation, lower=0.0, upper=0.0,
-                           tail_bound=0.0)
-    rmat = restriction_matrix(divisor, truncation)
-    if rmat.nrows > truncation:
-        vals = np.linalg.eigvalsh(rmat.matrix.conj().T @ rmat.matrix)
-        return FrameReport(truncation=truncation,
-                           lower=max(float(vals[0]), 0.0),
-                           upper=float(vals[-1]), tail_bound=rmat.tail_bound)
-    # QR-iteration SVD: divide and conquer (gesdd) fails to converge on
-    # some of the near-singular square R of the dichotomy family
-    u, svals, _ = linalg.svd(rmat.matrix, full_matrices=False,
-                             lapack_driver="gesvd")
-    lower, mx = 0.0, math.inf
-    if svals[-1] > RANK_RTOL * svals[0]:
-        if rmat.nrows == truncation:
-            lower = float(svals[-1] ** 2)
-        gram_inv_diag = (np.abs(u) ** 2 / svals[None, :] ** 2).sum(axis=1)
-        mx = math.sqrt(gram_inv_diag.max())
-    return FrameReport(truncation=truncation, lower=lower,
-                       upper=float(svals[0] ** 2), tail_bound=rmat.tail_bound,
-                       mx=mx)
+    """A, B and M_X from one restriction matrix R: frame_sweep at one
+    truncation."""
+    return frame_sweep(divisor, [truncation])[0]
 
 
 def interpolation_constant(divisor: Divisor, truncation: int) -> float:

@@ -1,9 +1,9 @@
 """Incomplete-gamma tail functions and the radial profile t^2/2 - m log t.
 
 The lower tail sigma_k and upper tail omega_k are normalized so that
-sigma_k(x) + omega_k(x) = 1.  omega_k is summed in the log domain so that
-k and x up to ~1e5 stay inside double range; sigma_k switches to an
-independent evaluation once 1 - omega_k would lose all digits.
+sigma_k(x) + omega_k(x) = 1: they are the regularized incomplete gamma
+functions P(k + 1, x) and Q(k + 1, x), each evaluated directly by
+scipy.special, so neither loses digits to 1 - the other.
 """
 
 from __future__ import annotations
@@ -12,107 +12,35 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaincc
 
 from .errors import DomainError, ParameterError, VerificationError
-
-# Below this distance from 1, 1 - omega is considered fully cancelled.
-CANCELLATION_THRESHOLD = 1e-8
 
 # Default resolution of the grid verifiers.
 T_STEP = 0.05
 
 
 def _check_kx(k, x):
-    if int(k) != k or k < 0:
+    k, x = np.asarray(k), np.asarray(x, dtype=float)
+    if np.any(np.floor(k) != k) or np.any(k < 0):
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    if not math.isfinite(x) or x < 0:
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise DomainError(f"x must be a finite nonnegative real, got {x!r}")
-    return int(k), float(x)
+    return k, x
 
 
-def omega(k: int, x: float) -> float:
-    """Upper tail e^{-x} * sum_{s<=k} x^s/s!, summed via log-sum-exp."""
+def omega(k, x):
+    """Upper tail e^{-x} sum_{s<=k} x^s/s! = Q(k + 1, x), for scalars or
+    arrays of k and x."""
     k, x = _check_kx(k, x)
-    if x == 0.0:
-        return 1.0
-    s = np.arange(k + 1)
-    terms = s * math.log(x) - gammaln(s + 1) - x
-    m = terms.max()
-    val = math.exp(m) * float(np.exp(terms - m).sum())
-    return min(val, 1.0)
+    return gammaincc(k + 1, x)
 
 
-def _sigma_series(k: int, x: float) -> float:
-    """Stable lower tail for the regime omega ~ 1 (so sigma is tiny):
-    sigma_k(x) = e^{-x} sum_{s>k} x^s/s!, truncated once terms stop mattering."""
-    if x == 0.0:
-        return 0.0
-    total = 0.0
-    log_term = (k + 1) * math.log(x) - gammaln(k + 2) - x
-    term = math.exp(log_term)
-    s = k + 1
-    while term > total * 1e-18 + 1e-320 and s < k + 100000:
-        total += term
-        s += 1
-        term *= x / s
-    return total
-
-
-def _sigma_quadrature(k: int, x: float) -> float:
-    """Adaptive quadrature of (1/k!) int_0^x y^k e^{-y} dy."""
-    lg = gammaln(k + 1)
-
-    def integrand(y):
-        if y <= 0.0:
-            return 0.0
-        return math.exp(k * math.log(y) - y - lg)
-
-    val, _ = integrate.quad(integrand, 0.0, x, epsabs=1e-300, epsrel=1e-12,
-                            limit=200)
-    return val
-
-
-def sigma(k: int, x: float) -> float:
-    """Lower tail (1/k!) int_0^x y^k e^{-y} dy = 1 - omega_k(x)."""
+def sigma(k, x):
+    """Lower tail (1/k!) int_0^x y^k e^{-y} dy = P(k + 1, x), for scalars
+    or arrays of k and x."""
     k, x = _check_kx(k, x)
-    w = omega(k, x)
-    if w <= 1.0 - CANCELLATION_THRESHOLD:
-        return 1.0 - w
-    return _sigma_quadrature(k, x)
-
-
-def _omega_batch(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized omega for integer array k and real array x (same shape)."""
-    k = np.asarray(k, dtype=np.int64).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    if k.size == 0:
-        return np.empty(0)
-    kmax = int(k.max())
-    s = np.arange(kmax + 1)
-    safe_x = np.maximum(x, 1e-300)
-    terms = s[None, :] * np.log(safe_x)[:, None] - gammaln(s + 1)[None, :] - x[:, None]
-    terms = np.where(s[None, :] <= k[:, None], terms, -np.inf)
-    m = terms.max(axis=1)
-    out = np.exp(m) * np.exp(terms - m[:, None]).sum(axis=1)
-    out = np.where(x == 0.0, 1.0, out)
-    return np.minimum(out, 1.0)
-
-
-def _sigma_batch(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized sigma, switching to the upper-series in the cancellation
-    regime.  Used by the grid verifiers where scalar calls would be slow."""
-    k = np.asarray(k, dtype=np.int64).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    w = _omega_batch(k, x)
-    out = 1.0 - w
-    bad = w > 1.0 - CANCELLATION_THRESHOLD
-    if bad.any():
-        out = out.copy()
-        out[bad] = [_sigma_series(int(ki), float(xi))
-                    for ki, xi in zip(k[bad], x[bad])]
-    return out
+    return gammainc(k + 1, x)
 
 
 def verify_tail_lower_a(t: float, k_max: int) -> tuple[float, int]:
@@ -131,7 +59,7 @@ def verify_tail_lower_a(t: float, k_max: int) -> tuple[float, int]:
             f"k - t*sqrt(k) <= 0 for every k <= {k_max}: empty range")
     ks = np.arange(k0, k_max + 1)
     xs = ks - t * np.sqrt(ks)
-    vals = _sigma_batch(ks, xs)
+    vals = sigma(ks, xs)
     eps = float(vals.min())
     if eps <= 0.0:
         raise VerificationError("tail lower bound (a) is not positive")
@@ -153,7 +81,7 @@ def verify_tail_lower_b(t: float, k_max: int) -> float:
         raise ParameterError(f"k_max must be at least 10, got {k_max}")
     ks = np.arange(0, k_max + 1)
     xs = ks + t * np.sqrt(ks)
-    vals = _omega_batch(ks, xs)
+    vals = omega(ks, xs)
     eps = float(vals.min())
     if eps <= 0.0:
         raise VerificationError("tail lower bound (b) is not positive")

@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the library's own fast paths: matrix
 elements come from dense 2-D quadrature over the plane or from the
-closed Laguerre form in extended precision, tail functions from scipy's
-regularized incomplete gamma, areas from plain grid counts, disc scans
-from comparing every point with every node, the redistribution integral
-from adaptive quadrature over rings about each center.
+closed Laguerre form in extended precision, frame bounds from a
+restriction matrix built anew at each truncation, areas from plain grid
+counts, disc scans from comparing every point with every node, the
+redistribution integral from adaptive quadrature over rings about each
+center.
 """
 
 import math
@@ -17,10 +18,12 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg
 from scipy.special import gammaln
 
 import fockdiv.divisor as dv
+from fockdiv.fock import displacement_matrix
+from fockdiv.frame import RANK_RTOL
 
 
 def displacement_oracle(z: complex, n: int, n_rad: int = 240,
@@ -65,6 +68,31 @@ def displacement_entry_mp(z: complex, k: int, j: int) -> complex:
         if k < j and d % 2:
             val = -val
         return complex(val) * np.exp(-1j * (k - j) * np.angle(z))
+
+
+def frame_oracle(divisor: dv.Divisor, n: int) -> dict:
+    """A, B, M_X and the tail at one truncation N from R(N) built for that
+    N alone: one displacement_matrix call per node (zero rows for the jets
+    of order >= N), then eigvalsh of R* R when R is tall and one gesvd SVD
+    otherwise, with the library's rank rule."""
+    rows, tail = [], 0.0
+    for z, m in zip(math.sqrt(divisor.alpha) * divisor.centers,
+                    divisor.mults):
+        d = displacement_matrix(z, n, ncols=int(min(m, n)))
+        rows += [d.entries.conj().T, np.zeros((int(m) - d.ncols, n))]
+        tail = max(tail, d.tail_bound)
+    r = np.vstack(rows)
+    if r.shape[0] > n:
+        vals = np.linalg.eigvalsh(r.conj().T @ r)
+        return {"lower": max(float(vals[0]), 0.0), "upper": float(vals[-1]),
+                "mx": math.inf, "tail_bound": tail}
+    u, svals, _ = linalg.svd(r, full_matrices=False, lapack_driver="gesvd")
+    lower, mx = 0.0, math.inf
+    if svals[-1] > RANK_RTOL * svals[0]:
+        lower = float(svals[-1] ** 2) if r.shape[0] == n else 0.0
+        mx = math.sqrt((np.abs(u) ** 2 / svals ** 2).sum(axis=1).max())
+    return {"lower": lower, "upper": float(svals[0] ** 2), "mx": mx,
+            "tail_bound": tail}
 
 
 def lens_area_grid(c1, r1, c2, r2, n: int = 400) -> float:

@@ -86,6 +86,27 @@ SHIPPED_REDISTRIBUTION = [
     (22, 1390.56139527), (26, 1970.11975323), (30, 2647.94571719),
     (34, 3423.87814949), (40, 4771.29457938)]
 
+# configs/frame.ini: tall, square and wide R, each built anew per truncation
+SHIPPED_FRAME = """\
+N,A,B,tail_bound
+16,0.00043421773766,1.1873573867,0.999988
+25,1.74941122022e-06,1.20565274125,0.992311
+40,0,1.21823870409,0.439709
+"""
+SHIPPED_MX = """\
+param,MX,N
+16,inf,16
+25,393.410371068,25
+40,1.37752602298,40
+"""
+
+
+def report_body(out, name):
+    """A report's lines below its '#' provenance header, joined."""
+    text = (out / name).read_text(encoding="utf-8")
+    return "".join(ln for ln in text.splitlines(keepends=True)
+                   if not ln.startswith("#"))
+
 
 def run_subprocess(tmp_path, cfg_text, code, **env):
     """Run python -c code in a fresh interpreter with the package on the
@@ -178,18 +199,47 @@ class TestReports:
                      str(ROOT / "configs" / "uniqueness.ini"),
                      "--out", str(out)]) == EXIT_OK
 
-        def body(name):
-            text = (out / name).read_text(encoding="utf-8")
-            return [ln for ln in text.splitlines(keepends=True)
-                    if not ln.startswith("#")]
-
-        assert "".join(body("uniqueness_summary.csv")) \
+        assert report_body(out, "uniqueness_summary.csv") \
             == SHIPPED_UNIQUENESS_SUMMARY
-        rows = [ln.split(",") for ln in body("redistribution.csv")[1:]]
+        body = report_body(out, "redistribution.csv").splitlines()
+        rows = [ln.split(",") for ln in body[1:]]
         assert [float(row[0]) for row in rows] \
             == [R for R, _ in SHIPPED_REDISTRIBUTION]
         for row, (_, value) in zip(rows, SHIPPED_REDISTRIBUTION):
             assert float(row[1]) == pytest.approx(value, rel=1e-9)
+
+    def test_shipped_frame_config(self, tmp_path):
+        out = tmp_path / "f"
+        assert main(["frame", "--config", str(ROOT / "configs" / "frame.ini"),
+                     "--out", str(out)]) == EXIT_OK
+        assert report_body(out, "frame.csv") == SHIPPED_FRAME
+        assert report_body(out, "mx.csv") == SHIPPED_MX
+
+    def test_frame_builds_r_once(self, tmp_path, monkeypatch):
+        # three truncations share one R; its multiplicity-1 rows need no
+        # displacement matrix, and each heavier node needs one
+        calls = {"restriction_matrix": 0, "displacement_matrix": 0}
+
+        def count(name):
+            fn = getattr(fr, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(fr, name, counted)
+
+        count("restriction_matrix")
+        count("displacement_matrix")
+        assert main(["frame", "--config", str(ROOT / "configs" / "frame.ini"),
+                     "--out", str(tmp_path / "unit")]) == EXIT_OK
+        assert calls == {"restriction_matrix": 1, "displacement_matrix": 0}
+        X = Divisor(np.array([0j, 1.5 + 0j, 3j]), np.array([2, 1, 3]))
+        p = tmp_path / "d.csv"
+        X.to_csv(p)
+        code, _ = run(tmp_path, "mixed", FRAME_CFG.format(path=str(p)),
+                      "frame")
+        assert code == EXIT_OK
+        assert calls == {"restriction_matrix": 2, "displacement_matrix": 2}
 
     def test_dichotomy_report(self, tmp_path):
         code, out = run(tmp_path, "d", DICHOTOMY_CFG, "dichotomy")

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divisor
+from conftest import child_peak_rss_mb, frame_oracle, random_divisor
 from fockdiv.divisor import Divisor, Region, lattice, overlap_constant
 from fockdiv.errors import (NotInterpolatingError, ParameterError,
                             ResourceError, VerificationError)
 from fockdiv.fock import CoefVec, restriction_values
-from fockdiv.frame import (FrameReport, frame_bounds, interpolation_constant,
-                           interpolation_witness, kernel_coefvec,
-                           restriction_matrix, sampling_defect_path)
+from fockdiv.frame import (FrameReport, frame_bounds, frame_sweep,
+                           interpolation_constant, interpolation_witness,
+                           kernel_coefvec, restriction_matrix,
+                           sampling_defect_path)
 
 
 class TestRestrictionMatrix:
@@ -137,6 +138,79 @@ class TestFrameBounds:
         rep = FrameReport(truncation=5, lower=0.5, upper=2.0, tail_bound=1e-8)
         assert rep.csv_row().split(",")[0] == "5"
         assert len(rep.csv_row().split(",")) == 4
+
+
+@st.composite
+def sweep_cases(draw):
+    """A divisor on a 0.6-spaced grid, optionally with a node at 0, mixed
+    multiplicities and weight, and unsorted, possibly repeated truncations
+    on both sides of the total multiplicity."""
+    points = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                           min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        points = [(0, 0)] + [p for p in points if p != (0, 0)]
+    centers = np.array([0.6 * complex(a, b) for a, b in points])
+    mults = draw(st.lists(st.integers(1, 6), min_size=len(points),
+                          max_size=len(points)))
+    alpha = draw(st.sampled_from([1.0, 0.5, 1.7]))
+    truncations = draw(st.lists(st.integers(1, sum(mults) + 6),
+                                min_size=1, max_size=5))
+    return Divisor(centers, np.array(mults), alpha), truncations
+
+
+def assert_sweep_matches_oracle(X, truncations):
+    reports = frame_sweep(X, truncations)
+    assert [rep.truncation for rep in reports] == list(truncations)
+    for rep in reports:
+        want = frame_oracle(X, rep.truncation)
+        # Gram eigenvalues resolve A only to about eps * B, and the shared
+        # Gram sums in another order than the oracle's, so A gets that
+        # floor (measured up to 0.93 eps * B); pytest's default abs of
+        # 1e-12 would accept any A below 1e-12
+        floor = 16 * np.finfo(float).eps * want["upper"]
+        assert rep.lower == pytest.approx(want["lower"], rel=1e-10,
+                                          abs=floor)
+        assert rep.upper == pytest.approx(want["upper"], rel=1e-10, abs=0.0)
+        assert rep.mx == pytest.approx(want["mx"], rel=1e-10, abs=0.0)
+        assert abs(rep.tail_bound - want["tail_bound"]) <= 1e-15
+        assert abs(restriction_matrix(X, rep.truncation).tail_bound
+                   - want["tail_bound"]) <= 1e-15
+
+
+class TestFrameSweep:
+    @given(case=sweep_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_truncation_oracle(self, case):
+        assert_sweep_matches_oracle(*case)
+
+    def test_every_shape_in_one_sweep(self):
+        # 7 rows: wide, square, tall, tall with the order-2 and order-3 jets
+        # of the heavy node cut (N = 2), and N = 1, unsorted and repeated
+        X = Divisor(np.array([0j, 1.1 - 0.7j, -1.3 + 0.4j]),
+                    np.array([1, 4, 2]), alpha=1.5)
+        truncations = [11, 2, 7, 2, 6, 1, 7]
+        assert_sweep_matches_oracle(X, truncations)
+        shapes = [(math.isfinite(rep.mx), rep.lower > 0)
+                  for rep in frame_sweep(X, truncations)]
+        assert shapes[:3] == [(True, False), (False, True), (True, True)]
+
+    def test_empty_truncation_list(self):
+        X = Divisor(np.array([0j]), np.array([2]))
+        assert frame_sweep(X, []) == []
+
+    def test_rejects_nonpositive_truncation(self):
+        X = Divisor(np.array([0j]), np.array([2]))
+        with pytest.raises(ParameterError):
+            frame_sweep(X, [5, 0])
+
+    def test_sampling_sweep_bounded_memory(self):
+        # R(600) for the 3,000-node lattice is 29 MB complex; one more copy
+        # of it (a conjugate or a per-truncation rebuild) would cross 140 MB
+        code = ("from fockdiv.divisor import lattice\n"
+                "from fockdiv.frame import frame_sweep\n"
+                "frame_sweep(lattice(1.0, 1, 27, hole_radius=3.0),"
+                " [150, 300, 450, 600])")
+        assert child_peak_rss_mb(code) < 140.0
 
 
 class TestInterpolationConstant:

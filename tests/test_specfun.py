@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from scipy import integrate, special
 from fockdiv.errors import (DomainError, ParameterError, VerificationError)
 from fockdiv.specfun import (RadialProfile, TailValue, find_tail_ratio_t,
                              omega, phi, sigma, verify_tail_lower_a,
-                             verify_tail_lower_b, _sigma_batch)
+                             verify_tail_lower_b)
 
 
 class TestOmega:
@@ -71,7 +72,7 @@ class TestSigma:
                 assert sigma(k, x) == pytest.approx(val, rel=1e-9, abs=1e-300)
 
     def test_cancellation_regime_positive(self):
-        # omega is within 1e-8 of 1 here; the quadrature fallback keeps digits
+        # omega is within 1e-8 of 1 here: 1 - omega would keep no digits
         val = sigma(200, 110.0)
         assert 0.0 < val < 1e-8
         assert val == pytest.approx(special.gammainc(201, 110.0), rel=1e-8)
@@ -96,10 +97,30 @@ class TestTailIdentity:
     def test_batch_matches_scalar(self):
         ks = np.array([0, 3, 50, 200, 200])
         xs = np.array([0.0, 2.0, 45.0, 110.0, 350.0])
-        batch = _sigma_batch(ks, xs)
+        batch = sigma(ks, xs)
         for ki, xi, b in zip(ks, xs, batch):
             assert b == pytest.approx(sigma(int(ki), float(xi)),
                                       rel=1e-8, abs=1e-15)
+
+
+class TestMpmathOracle:
+    # k from 0 to 20,000; x across the range and around the bulk of the
+    # Poisson weights, k +- 3 sqrt(k) and k - 8 sqrt(k), where one tail is
+    # tiny and the other within rounding of 1
+    POINTS = [(k, x) for k in [0, 1, 7, 60, 500, 4000, 20000]
+              for x in sorted({1e-3, 0.7, 30.0, 900.0, 2e4,
+                               k + 3 * math.sqrt(k),
+                               max(k - 3 * math.sqrt(k), 1e-3),
+                               max(k - 8 * math.sqrt(k), 1e-3)})]
+
+    @pytest.mark.parametrize("k, x", POINTS)
+    def test_matches_regularized_gamma(self, k, x):
+        with mp.workdps(40):
+            lower = float(mp.gammainc(k + 1, 0, x, regularized=True))
+            upper = float(mp.gammainc(k + 1, x, mp.inf, regularized=True))
+        # abs only absorbs values below the double range
+        assert sigma(k, x) == pytest.approx(lower, rel=1e-12, abs=1e-300)
+        assert omega(k, x) == pytest.approx(upper, rel=1e-12, abs=1e-300)
 
 
 class TestTailValue:
