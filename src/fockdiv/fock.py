@@ -5,7 +5,8 @@ e_k(z) = z^k / sqrt(k!) (weight parameter normalized to 1 internally;
 callers rescale centers by sqrt(alpha)).  The weighted translation T_z
 acts isometrically; its matrix in the basis is built in double precision
 from the coherent vector through a normalized Laguerre recurrence, so
-entries carry no truncation error beyond floating point rounding.
+entries carry no truncation error beyond floating point rounding.  One
+call builds the matrices of a whole array of centers.
 """
 
 from __future__ import annotations
@@ -69,80 +70,51 @@ def coherent_coefficients(z, n: int) -> np.ndarray:
     return np.exp(log_mod) * phase
 
 
-@dataclass(frozen=True)
-class DisplacementMatrix:
-    """Matrix D with D[k, j] = <T_z e_j, e_k>, k < nrows, j < ncols.
-
-    Row truncation is exact: row k of column j+1 only references rows
-    < k of columns j and j-1, so the stored entries equal the untruncated
-    ones.
-    The column tail bound records how much of each column's unit mass
-    lies beyond the stored rows."""
-
-    z: complex
-    entries: np.ndarray
-
-    @property
-    def nrows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def tail_bound(self) -> float:
-        norms = np.sum(np.abs(self.entries) ** 2, axis=0)
-        return float(np.clip(1.0 - norms.min(), 0.0, 1.0))
-
-    def apply_adjoint(self, a: np.ndarray) -> np.ndarray:
-        """(<f, T_z e_j>)_j for f with coefficients a."""
-        return self.entries.conj().T @ np.asarray(a, dtype=complex)
-
-
-def displacement_matrix(z: complex, n: int, ncols: int | None = None
-                        ) -> DisplacementMatrix:
-    """Build the translation matrix from its real form at r = |z|.
+def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
+    """Matrix D with D[k, j] = <T_z e_j, e_k>, k < n, j < ncols, built from
+    its real form at r = |z|.  z is one center (result shape (n, ncols))
+    or an array of them (one matrix per center, shape (..., n, ncols)).
 
     Column 0 is the coherent vector.  Below the diagonal, k = j + d,
     D[k, j](r) = sqrt(j!/k!) r^d e^{-r^2/2} L_j^{(d)}(r^2) (Cahill and
     Glauber); the normalized Laguerre recurrence in j runs on these scaled
-    entries, vectorized over d, so nothing overflows or cancels
-    catastrophically.  Above the diagonal D[k, j] = (-1)^{j-k} D[j, k], and
-    the phase of z enters as e^{-i(k-j) arg z}."""
+    entries, vectorized over d and over the centers, so nothing overflows
+    or cancels catastrophically.  Above the diagonal
+    D[k, j] = (-1)^{j-k} D[j, k], and the phase of z enters as
+    e^{-i(k-j) arg z}.  Row truncation is exact: row k of column j+1 only
+    references rows < k of columns j and j-1, so the entries do not
+    depend on n."""
     if n < 1:
         raise ParameterError(f"matrix size must be positive, got {n}")
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     ncols = n if ncols is None else int(ncols)
     if not 1 <= ncols <= n:
         raise ParameterError(f"ncols must lie in [1, {n}], got {ncols}")
     first = coherent_coefficients(z, n)
     if ncols == 1:
-        return DisplacementMatrix(z=z, entries=first[:, None])
-    x = abs(z) ** 2
-    real = np.zeros((n, ncols))
+        return first[..., None]
+    x = np.abs(z)[..., None] ** 2
+    real = np.zeros((*z.shape, n, ncols))
     # f[d] = D[j + d, j](r) and step[d] = f[d] - D[j - 1 + d, j - 1](r).
     # With s_j = sqrt(j (j + d)) and u_j = (sqrt(j + d) - sqrt(j))^2 / 2 the
     # recurrence reads s_{j+1} step' = (u_j + u_{j+1} - x) f + s_j step:
     # no cancellation near the double root at small r^2, where the plain
     # form loses ~ j^2 ulps.
     f = step = np.abs(first)
-    real[:, 0] = f
+    real[..., 0] = f
     root = np.sqrt(np.arange(n + 1))
     for j in range(ncols - 1):
         m = n - j - 1
         rj, rj1 = root[j:j + m], root[j + 1:j + 1 + m]
         u = 0.5 * ((rj - root[j]) ** 2 + (rj1 - root[j + 1]) ** 2)
-        step = ((u - x) * f[:m] + root[j] * rj * step[:m]) \
+        step = ((u - x) * f[..., :m] + root[j] * rj * step[..., :m]) \
             / (root[j + 1] * rj1)
-        f = f[:m] + step
-        real[j + 1:, j + 1] = f
-    upper = np.triu_indices(ncols, 1)
-    sign = 1 - 2 * ((upper[1] - upper[0]) % 2)
-    real[upper] = sign * real[upper[1], upper[0]]
-    phase = np.exp(-1j * np.angle(z) * np.arange(n))
-    return DisplacementMatrix(
-        z=z, entries=real * phase[:, None] * phase[:ncols].conj())
+        f = f[..., :m] + step
+        real[..., j + 1:, j + 1] = f
+    lo, hi = np.triu_indices(ncols, 1)
+    real[..., lo, hi] = (1 - 2 * ((hi - lo) % 2)) * real[..., hi, lo]
+    phase = np.exp(-1j * np.angle(z)[..., None] * np.arange(n))
+    return real * phase[..., :, None] * phase[..., None, :ncols].conj()
 
 
 def restriction_values(f: CoefVec, lam: complex, m: int) -> np.ndarray:
@@ -152,8 +124,7 @@ def restriction_values(f: CoefVec, lam: complex, m: int) -> np.ndarray:
     n = f.degree_bound
     if m > n:
         raise ParameterError(f"m={m} exceeds truncation degree {n}")
-    d = displacement_matrix(lam, n, ncols=m)
-    return d.apply_adjoint(f.coeffs)
+    return displacement_matrix(lam, n, ncols=m).conj().T @ f.coeffs
 
 
 def quotient_norm_sq(f: CoefVec, lam: complex, m: int) -> float:

@@ -31,19 +31,16 @@ ROW_BLOCK = 256
 class RestrictionMatrix:
     """Stacked restriction functionals: row (node, k) holds
     (<e_j, T_center e_k>)_j, so applying the matrix to a coefficient vector
-    yields the jet data (<f, T_center e_k>)."""
+    yields the jet data (<f, T_center e_k>).  Rows run over the nodes in
+    input order, k ascending; orders holds each row's jet order k."""
 
     matrix: np.ndarray
-    row_index: tuple  # ((node_index, k), ...) in input order, k ascending
-    truncation: int
+    orders: np.ndarray
     tail_bound: float
 
     @property
     def nrows(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(a, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,6 @@ class FrameReport:
     lower: float
     upper: float
     tail_bound: float
-    test_space: str = "coefficient vectors of degree < truncation"
     mx: float = math.inf
 
     def __post_init__(self):
@@ -79,10 +75,11 @@ def _scaled_centers(divisor: Divisor) -> np.ndarray:
 
 def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
     """Assemble the (sum of multiplicities) x truncation restriction matrix.
-    Multiplicity-1 nodes take their rows, the conjugated coherent vectors,
-    in one array op per block of nodes; heavier nodes one
-    displacement_matrix call each.  Jets of order k >= truncation cannot be
-    represented and keep zero rows, so the shape stays sum(m)."""
+    The nodes of one multiplicity m take their rows, the conjugated first
+    min(m, truncation) columns of their displacement matrices, from one
+    displacement_matrix call per block of at most ROW_BLOCK rows.  Jets of
+    order k >= truncation cannot be represented and keep zero rows, so the
+    shape stays sum(m)."""
     if truncation < 1:
         raise ParameterError(f"truncation must be positive, got {truncation}")
     total = divisor.total_multiplicity
@@ -93,26 +90,20 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
     centers = _scaled_centers(divisor)
     mults = divisor.mults
     first_row = np.cumsum(mults) - mults
+    orders = np.arange(total) - np.repeat(first_row, mults)
     rows = np.zeros((total, truncation), dtype=complex)
-    single = np.flatnonzero(mults == 1)
-    for i in range(0, single.size, ROW_BLOCK):
-        nodes = single[i:i + ROW_BLOCK]
-        rows[first_row[nodes]] = coherent_coefficients(
-            centers[nodes], truncation).conj()
-    for node in np.flatnonzero(mults > 1):
-        m = int(min(mults[node], truncation))
-        d = displacement_matrix(centers[node], truncation, ncols=m)
-        rows[first_row[node]:first_row[node] + m] = d.entries.conj().T
-    index = tuple((node, k) for node, m in enumerate(mults)
-                  for k in range(int(m)))
-    live = _orders(index) < truncation
-    mass = _row_mass(rows, [truncation])[live, 0]
-    return RestrictionMatrix(matrix=rows, row_index=index,
-                             truncation=truncation, tail_bound=_tail(mass))
-
-
-def _orders(row_index: tuple) -> np.ndarray:
-    return np.array([k for _, k in row_index], dtype=int)
+    for m in np.unique(mults):
+        nodes = np.flatnonzero(mults == m)
+        width = int(min(m, truncation))
+        per_block = max(1, ROW_BLOCK // width)
+        for i in range(0, nodes.size, per_block):
+            block = nodes[i:i + per_block]
+            d = displacement_matrix(centers[block], truncation, width)
+            rows[first_row[block, None] + np.arange(width)] = \
+                d.conj().swapaxes(1, 2)
+    mass = _row_mass(rows, [truncation])[orders < truncation, 0]
+    return RestrictionMatrix(matrix=rows, orders=orders,
+                             tail_bound=_tail(mass))
 
 
 def _row_mass(rows: np.ndarray, cuts: list[int]) -> np.ndarray:
@@ -133,16 +124,6 @@ def _tail(mass: np.ndarray) -> float:
     return min(1.0, float(np.max(1.0 - mass, initial=0.0)))
 
 
-def _gram(rows: np.ndarray, n: int, live: np.ndarray) -> np.ndarray:
-    """R(N)* R(N) from the live rows' first n entries, summed blockwise:
-    no conjugated copy of R."""
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(0, rows.shape[0], ROW_BLOCK):
-        blk = rows[i:i + ROW_BLOCK, :n][live[i:i + ROW_BLOCK]]
-        gram += blk.conj().T @ blk
-    return gram
-
-
 def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     """A, B and M_X at each truncation N, one report per N in input order,
     all from one restriction matrix built at the largest N.  Its entries do
@@ -150,8 +131,10 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     columns with the rows of order k >= N set to zero.
 
     With more rows than columns M_X is inf and A, B are the extreme
-    eigenvalues of G_N = R(N)* R(N): the leading N x N block of one Gram
-    matrix while no row is cut, else the Gram of the live rows.  Otherwise
+    eigenvalues of G_N = R(N)* R(N), the leading N x N block of one Gram
+    matrix as wide as the largest such N.  Walking the truncations in
+    ascending order, each row enters that Gram once, blockwise, when it
+    becomes live (its order k first falls below N).  Otherwise
     one SVD of R(N) gives B = sigma_max^2, A = sigma_min^2 (0 for wide R)
     and M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags both: if
     sigma_min <= RANK_RTOL sigma_max, then A = 0 and M_X = inf.  The tail
@@ -164,19 +147,22 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     if cuts[0] < 1:
         raise ParameterError(f"truncation must be positive, got {cuts[0]}")
     rmat = restriction_matrix(divisor, cuts[-1])
-    rows, tall = rmat.matrix, [n for n in cuts if rmat.nrows > n]
-    orders = _orders(rmat.row_index)
+    rows, orders = rmat.matrix, rmat.orders
+    tall = [n for n in cuts if rmat.nrows > n]
+    width = tall[-1] if tall else 0
+    gram = np.zeros((width, width), dtype=complex)
     mass = _row_mass(rows, cuts)
-    # the tall truncations that cut no row share the Gram of the largest
-    uncut = [n for n in tall if orders.max() < n]
-    shared = _gram(rows, uncut[-1], orders < uncut[-1]) if uncut else None
-    reports = {}
+    reports, prev = {}, 0
     for n, mass_n in zip(cuts, mass.T):
         live = orders < n
         lower, mx = 0.0, math.inf
         if n in tall:
-            gram = shared[:n, :n] if live.all() else _gram(rows, n, live)
-            vals = np.linalg.eigvalsh(gram)
+            new = np.flatnonzero(live & (orders >= prev))
+            for i in range(0, new.size, ROW_BLOCK):
+                blk = rows[new[i:i + ROW_BLOCK], :width]
+                gram += blk.conj().T @ blk
+            prev = n
+            vals = np.linalg.eigvalsh(gram[:n, :n])
             lower, upper = max(float(vals[0]), 0.0), float(vals[-1])
         else:
             # total multiplicity <= N, so no row is cut.  QR-iteration SVD:
@@ -243,17 +229,18 @@ def interpolation_witness(divisor: Divisor, w: complex, truncation: int
     the two discs overlap more deeply."""
     if len(divisor) < 2:
         raise ParameterError("witness needs at least two nodes")
-    rmat = restriction_matrix(divisor, truncation)
-    centers = _scaled_centers(divisor)
-    w = math.sqrt(divisor.alpha) * complex(w)
-    kernel = coherent_coefficients(w, truncation)
     m0, m1 = int(divisor.mults[0]), int(divisor.mults[1])
-    d1 = displacement_matrix(centers[1], truncation, ncols=m1)
-    rhs = np.zeros(rmat.nrows, dtype=complex)
-    rhs[m0:m0 + m1] = d1.apply_adjoint(kernel)
-    rows = rmat.matrix[:m0 + m1]
-    sol, _, rank, svals = np.linalg.lstsq(rows, rhs[:m0 + m1], rcond=RANK_RTOL)
-    residual = np.linalg.norm(rows @ sol - rhs[:m0 + m1])
+    if m1 > truncation:
+        raise ParameterError(f"second node's multiplicity {m1} exceeds "
+                             f"truncation {truncation}")
+    rows = restriction_matrix(divisor.subset(np.arange(len(divisor)) < 2),
+                              truncation).matrix
+    kernel = coherent_coefficients(math.sqrt(divisor.alpha) * complex(w),
+                                   truncation)
+    rhs = np.zeros(m0 + m1, dtype=complex)
+    rhs[m0:] = rows[m0:] @ kernel
+    sol = np.linalg.lstsq(rows, rhs, rcond=RANK_RTOL)[0]
+    residual = np.linalg.norm(rows @ sol - rhs)
     if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
         raise VerificationError(
             f"witness problem infeasible at truncation {truncation} "

@@ -143,7 +143,7 @@ def phi(m: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class TailValue:
-    """One evaluation of the tail pair at (k, x), with the split recorded."""
+    """One evaluation of the tail pair at (k, x)."""
 
     k: int
     x: float
@@ -158,8 +158,8 @@ class TailValue:
 
     @classmethod
     def evaluate(cls, k: int, x: float) -> "TailValue":
-        s = sigma(k, x)
-        return cls(k=int(k), x=float(x), sigma=s, omega=1.0 - s)
+        return cls(k=int(k), x=float(x), sigma=sigma(k, x),
+                   omega=omega(k, x))
 
 
 @dataclass(frozen=True)

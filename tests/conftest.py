@@ -74,13 +74,16 @@ def frame_oracle(divisor: dv.Divisor, n: int) -> dict:
     """A, B, M_X and the tail at one truncation N from R(N) built for that
     N alone: one displacement_matrix call per node (zero rows for the jets
     of order >= N), then eigvalsh of R* R when R is tall and one gesvd SVD
-    otherwise, with the library's rank rule."""
+    otherwise, with the library's rank rule.  The tail is the largest
+    unit mass a represented column of a displacement matrix loses to the
+    truncation."""
     rows, tail = [], 0.0
     for z, m in zip(math.sqrt(divisor.alpha) * divisor.centers,
                     divisor.mults):
         d = displacement_matrix(z, n, ncols=int(min(m, n)))
-        rows += [d.entries.conj().T, np.zeros((int(m) - d.ncols, n))]
-        tail = max(tail, d.tail_bound)
+        rows += [d.conj().T, np.zeros((int(m) - d.shape[1], n))]
+        norms = np.sum(np.abs(d) ** 2, axis=0)
+        tail = max(tail, float(np.clip(1.0 - norms.min(), 0.0, 1.0)))
     r = np.vstack(rows)
     if r.shape[0] > n:
         vals = np.linalg.eigvalsh(r.conj().T @ r)

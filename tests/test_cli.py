@@ -86,7 +86,7 @@ SHIPPED_REDISTRIBUTION = [
     (22, 1390.56139527), (26, 1970.11975323), (30, 2647.94571719),
     (34, 3423.87814949), (40, 4771.29457938)]
 
-# configs/frame.ini: tall, square and wide R, each built anew per truncation
+# configs/frame.ini: tall, square and wide R from one R built at N = 40
 SHIPPED_FRAME = """\
 N,A,B,tail_bound
 16,0.00043421773766,1.1873573867,0.999988
@@ -216,8 +216,9 @@ class TestReports:
         assert report_body(out, "mx.csv") == SHIPPED_MX
 
     def test_frame_builds_r_once(self, tmp_path, monkeypatch):
-        # three truncations share one R; its multiplicity-1 rows need no
-        # displacement matrix, and each heavier node needs one
+        # three truncations share one R, built from one displacement_matrix
+        # call per distinct multiplicity (each block holds up to ROW_BLOCK
+        # rows; these divisors fill one block per multiplicity)
         calls = {"restriction_matrix": 0, "displacement_matrix": 0}
 
         def count(name):
@@ -232,14 +233,14 @@ class TestReports:
         count("displacement_matrix")
         assert main(["frame", "--config", str(ROOT / "configs" / "frame.ini"),
                      "--out", str(tmp_path / "unit")]) == EXIT_OK
-        assert calls == {"restriction_matrix": 1, "displacement_matrix": 0}
+        assert calls == {"restriction_matrix": 1, "displacement_matrix": 1}
         X = Divisor(np.array([0j, 1.5 + 0j, 3j]), np.array([2, 1, 3]))
         p = tmp_path / "d.csv"
         X.to_csv(p)
         code, _ = run(tmp_path, "mixed", FRAME_CFG.format(path=str(p)),
                       "frame")
         assert code == EXIT_OK
-        assert calls == {"restriction_matrix": 2, "displacement_matrix": 2}
+        assert calls == {"restriction_matrix": 2, "displacement_matrix": 4}
 
     def test_dichotomy_report(self, tmp_path):
         code, out = run(tmp_path, "d", DICHOTOMY_CFG, "dichotomy")

@@ -60,14 +60,14 @@ class TestCoherent:
 class TestDisplacementMatrix:
     def test_identity_at_origin(self):
         d = displacement_matrix(0.0, 6)
-        assert np.allclose(d.entries, np.eye(6), atol=1e-15)
+        assert np.allclose(d, np.eye(6), atol=1e-15)
 
     @pytest.mark.parametrize("z", [0.5, 1 + 1j, 2 - 0.3j])
     def test_matches_quadrature_oracle(self, z):
         n = 12
         d = displacement_matrix(z, n)
         oracle = displacement_oracle(z, n)
-        assert np.max(np.abs(d.entries - oracle)) <= 1e-10
+        assert np.max(np.abs(d - oracle)) <= 1e-10
 
     @given(z=complex_st)
     @settings(max_examples=40, deadline=None)
@@ -75,7 +75,7 @@ class TestDisplacementMatrix:
         # column norms approach 1 from below as rows are exact truncations
         n = 40 + int(8 * abs(z) ** 2)
         d = displacement_matrix(z, n, ncols=8)
-        norms = np.sum(np.abs(d.entries) ** 2, axis=0)
+        norms = np.sum(np.abs(d) ** 2, axis=0)
         assert np.all(norms <= 1.0 + 1e-9)
         assert np.all(norms >= 1.0 - 1e-6)
 
@@ -84,30 +84,30 @@ class TestDisplacementMatrix:
     def test_group_property(self, z):
         # T_z T_{-z} = I up to truncation tails
         n = 60 + int(10 * abs(z) ** 2)
-        a = displacement_matrix(z, n).entries
-        b = displacement_matrix(-z, n).entries
+        a = displacement_matrix(z, n)
+        b = displacement_matrix(-z, n)
         prod = a @ b
         m = 8
         assert np.max(np.abs(prod[:m, :m] - np.eye(m))) <= 1e-6
 
     def test_row_truncation_exact(self):
         z = 1.2 - 0.7j
-        big = displacement_matrix(z, 30).entries
-        small = displacement_matrix(z, 12).entries
+        big = displacement_matrix(z, 30)
+        small = displacement_matrix(z, 12)
         assert np.max(np.abs(big[:12, :12] - small)) <= 1e-13
 
     def test_large_center_matches_quadrature(self):
         z = 5.5 + 1.5j  # |z|^2 = 32.5
         d = displacement_matrix(z, 120, ncols=6)
         oracle = displacement_oracle(z, 120, rmax=13.0, n_rad=400)[:, :6]
-        assert np.max(np.abs(d.entries - oracle)) <= 1e-9
+        assert np.max(np.abs(d - oracle)) <= 1e-9
 
     @pytest.mark.parametrize("zsq,n,ncols", [
         (16, 128, 64), (31.4, 128, 64), (64, 256, 128), (144, 300, 100),
         (600, 1000, 400), (1e-4, 1000, 400)])
     def test_matches_laguerre_closed_form(self, zsq, n, ncols):
         z = math.sqrt(zsq) * np.exp(0.7j)
-        d = displacement_matrix(z, n, ncols).entries
+        d = displacement_matrix(z, n, ncols)
         rng = np.random.default_rng(7)
         corners = [(0, 0), (n - 1, ncols - 1), (n - 1, 0), (0, ncols - 1),
                    (ncols - 1, ncols - 1)]
@@ -124,8 +124,20 @@ class TestDisplacementMatrix:
 
     def test_large_center_columns_bounded(self):
         d = displacement_matrix(7.8 + 0j, 160, ncols=10)
-        norms = np.sum(np.abs(d.entries) ** 2, axis=0)
+        norms = np.sum(np.abs(d) ** 2, axis=0)
         assert np.all(norms <= 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("n,ncols", [(1, 1), (9, 1), (9, 4), (9, 9)])
+    def test_array_of_centers_stacks_scalar_calls(self, n, ncols):
+        # the origin, the real and imaginary axes and mixed phases, in a
+        # 2-D array of centers
+        zs = np.array([[0j, 1.3, -0.4 + 2.2j, -3j],
+                       [2.5 - 0.5j, -1.7 - 1.1j, 0.2j, -2.0]])
+        d = displacement_matrix(zs, n, ncols)
+        assert d.shape == (2, 4, n, ncols)
+        stacked = np.array([[displacement_matrix(z, n, ncols) for z in row]
+                            for row in zs])
+        assert np.array_equal(d, stacked)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ParameterError):
@@ -142,11 +154,11 @@ class TestRestriction:
         for k in range(4):
             f = CoefVec.basis(k, n)
             # <e_k, T_z e_j> = conj(D[k, j])
-            vals = restriction_values(CoefVec(d.entries[:, k]), z, 4)
+            vals = restriction_values(CoefVec(d[:, k]), z, 4)
             assert np.all(np.isfinite(vals))
         f = CoefVec(np.arange(1, n + 1, dtype=complex) / n)
         vals = restriction_values(f, z, 4)
-        expect = d.entries.conj().T @ f.coeffs
+        expect = d.conj().T @ f.coeffs
         assert np.max(np.abs(vals - expect)) <= 1e-10
 
     def test_quotient_norm_of_kernel(self):

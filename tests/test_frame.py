@@ -25,7 +25,7 @@ class TestRestrictionMatrix:
         n = 40
         rmat = restriction_matrix(X, n)
         f = CoefVec(rng.normal(size=n) + 1j * rng.normal(size=n))
-        data = rmat.apply(f.coeffs)
+        data = rmat.matrix @ f.coeffs
         pos = 0
         for c, m in zip(X.centers, X.mults):
             vals = restriction_values(f, complex(c), int(m))
@@ -41,10 +41,10 @@ class TestRestrictionMatrix:
                                        np.array([3])), 30)
         assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
 
-    def test_row_index_order(self):
+    def test_row_orders(self):
         X = Divisor(np.array([0j, 2 + 0j]), np.array([2, 1]))
         rmat = restriction_matrix(X, 10)
-        assert rmat.row_index == ((0, 0), (0, 1), (1, 0))
+        assert rmat.orders.tolist() == [0, 1, 0]
 
     def test_overfull_pads(self):
         X = Divisor(np.array([0j]), np.array([5]))
@@ -273,6 +273,22 @@ class TestWitnessAndPath:
             X = Divisor(np.array([0j, d + 0j]), np.array([2, 2]))
             vals.append(interpolation_witness(X, d / 2, 60))
         assert all(b > a for a, b in zip(vals, vals[1:]))
+        # pinned: the right-hand side comes from R's own rows
+        assert vals == pytest.approx(
+            [0.3026231058011432, 0.5881342934559707, 0.7620361732825427],
+            rel=1e-12, abs=0.0)
+
+    def test_witness_ignores_later_nodes(self):
+        X = Divisor(np.array([0j, 2 + 1j, 5j]), np.array([7, 3, 1]),
+                    alpha=1.3)
+        assert interpolation_witness(X, 1 + 0.5j, 14) == pytest.approx(
+            interpolation_witness(X.subset(np.array([True, True, False])),
+                                  1 + 0.5j, 14), rel=1e-12, abs=0.0)
+
+    def test_witness_rejects_second_jet_over_truncation(self):
+        X = Divisor(np.array([0j, 3 + 0j]), np.array([2, 5]))
+        with pytest.raises(ParameterError):
+            interpolation_witness(X, 1.0, 4)
 
     def test_witness_needs_two_nodes(self):
         X = Divisor(np.array([0j]), np.array([2]))

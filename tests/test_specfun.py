@@ -132,6 +132,15 @@ class TestTailValue:
         with pytest.raises(VerificationError):
             TailValue(k=1, x=1.0, sigma=0.4, omega=0.7)
 
+    @pytest.mark.parametrize("k,x", [(0, 50.0), (10, 200.0)])
+    def test_evaluate_resolves_tiny_omega(self, k, x):
+        # omega is 1.93e-22 at (0, 50) and 3.1e-71 at (10, 200): 1 - sigma
+        # rounds both to 0
+        tv = TailValue.evaluate(k, x)
+        with mp.workdps(40):
+            upper = float(mp.gammainc(k + 1, x, mp.inf, regularized=True))
+        assert tv.omega == pytest.approx(upper, rel=1e-12, abs=0.0)
+
 
 class TestLowerBoundVerifiers:
     def test_a_at_zero_shift(self):
