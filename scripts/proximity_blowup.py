@@ -4,16 +4,15 @@
 Two nodes of multiplicity m sit at -d/2 and d/2; their jet discs have
 radius sqrt(m) and touch at d = 2 sqrt(m).  As d shrinks past tangency the
 minimal-norm interpolants must separate increasingly entangled jets and
-M_X(N) blows up.  Writes proximity.csv with columns d,MX,N.
+M_X(N) blows up.  The truncation must be at least 2 m; R is split by
+parity (fockdiv.frame.symmetric_pair_report).  Writes proximity.csv with
+columns d,MX,N.
 """
 
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from fockdiv.divisor import Divisor
-from fockdiv.frame import frame_bounds
+from fockdiv.frame import symmetric_pair_report
 
 
 def main():
@@ -27,9 +26,7 @@ def main():
 
     rows = ["d,MX,N"]
     for d in (float(x) for x in args.distances.split(",")):
-        X = Divisor(np.array([-d / 2 + 0j, d / 2 + 0j]),
-                    np.array([args.mult, args.mult]))
-        mx = frame_bounds(X, args.truncation).mx
+        mx = symmetric_pair_report(d / 2, args.mult, args.truncation).mx
         rows.append(f"{d:g},{mx:.6g},{args.truncation}")
         print(rows[-1])
     args.out.mkdir(parents=True, exist_ok=True)

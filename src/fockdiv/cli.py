@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import divisor as dv
 from . import frame as fr
 from . import potential as pt
@@ -136,19 +134,17 @@ def cmd_uniqueness(cfg) -> dict[str, list[str]]:
 
 def dichotomy_point(mult: int, param: float) -> tuple[int, float, float]:
     """(truncation, lower frame bound A, interpolation constant M_X) for
-    the symmetric two-node divisor at +/- param * sqrt(mult), each node
-    of multiplicity mult, at the critical truncation N = 2 * mult.
+    the symmetric two-node divisor at +/- param * sqrt(mult), param > 0,
+    each node of multiplicity mult, at the critical truncation
+    N = 2 * mult.
 
     At critical truncation the restriction matrix is square: the divisor
     can only be simultaneously well-sampling and well-interpolating if
     that matrix is well conditioned, and the conditioning collapses as
-    the multiplicity grows no matter where the nodes sit."""
-    r = math.sqrt(mult)
-    truncation = 2 * mult
-    X = dv.Divisor(np.array([-param * r + 0j, param * r + 0j]),
-                   np.array([mult, mult]))
-    report = fr.frame_bounds(X, truncation)
-    return truncation, report.lower, report.mx
+    the multiplicity grows no matter where the nodes sit.  R splits by
+    parity into two real mult x mult blocks (symmetric_pair_report)."""
+    report = fr.symmetric_pair_report(param * math.sqrt(mult), mult, 2 * mult)
+    return 2 * mult, report.lower, report.mx
 
 
 def dichotomy_sweep(mults, params) -> list[dict]:

@@ -134,9 +134,10 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     eigenvalues of G_N = R(N)* R(N), the leading N x N block of one Gram
     matrix as wide as the largest such N.  Walking the truncations in
     ascending order, each row enters that Gram once, blockwise, when it
-    becomes live (its order k first falls below N).  Otherwise
-    one SVD of R(N) gives B = sigma_max^2, A = sigma_min^2 (0 for wide R)
-    and M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags both: if
+    becomes live (its order k first falls below N); A <= N eps B, below
+    eigvalsh's resolution, reads 0.  Otherwise one SVD of R(N) gives
+    B = sigma_max^2, A = sigma_min^2 (0 for wide R) and
+    M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags both: if
     sigma_min <= RANK_RTOL sigma_max, then A = 0 and M_X = inf.  The tail
     of each N comes from the rows' squared-norm sums up to N."""
     truncations = [int(n) for n in truncations]
@@ -163,7 +164,9 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
                 gram += blk.conj().T @ blk
             prev = n
             vals = np.linalg.eigvalsh(gram[:n, :n])
-            lower, upper = max(float(vals[0]), 0.0), float(vals[-1])
+            upper = float(vals[-1])
+            if vals[0] > n * np.finfo(float).eps * upper:
+                lower = float(vals[0])
         else:
             # total multiplicity <= N, so no row is cut.  QR-iteration SVD:
             # divide and conquer (gesdd) fails to converge on some of the
@@ -186,6 +189,32 @@ def frame_bounds(divisor: Divisor, truncation: int) -> FrameReport:
     """A, B and M_X from one restriction matrix R: frame_sweep at one
     truncation."""
     return frame_sweep(divisor, [truncation])[0]
+
+
+def symmetric_pair_report(a: float, mult: int, truncation: int
+                          ) -> FrameReport:
+    """frame_bounds of the nodes -a and +a (a > 0, weight 1), each of
+    multiplicity m = mult, at N = truncation >= 2m.  The -a rows are
+    (-1)^(j+k) times the real +a rows, so R = sqrt(2) Q blockdiag(E, O) Pi
+    (Q orthogonal, Pi a column permutation; E, O the even and odd columns
+    of the +a rows): two real m x N/2 SVDs, not one complex 2m x N.
+    B = 2 max sigma_max^2, A = 2 min sigma_min^2 (0 for wide R) and M_X^2
+    = max_k ((E E*)^{-1}_kk + (O O*)^{-1}_kk) / 4; rank rule and tail as
+    in frame_sweep."""
+    if not 0 < a < math.inf or truncation < 2 * mult:
+        raise ParameterError(f"symmetric pair needs a > 0, truncation >= "
+                             f"2 mult; got {a}, {mult}, {truncation}")
+    rows = displacement_matrix(a, truncation, mult).real.T
+    svds = [linalg.svd(rows[:, parity::2], full_matrices=False,
+                       lapack_driver="gesvd")[:2] for parity in (0, 1)]
+    smax, smin = max(s[0] for _, s in svds), min(s[-1] for _, s in svds)
+    lower, mx = 0.0, math.inf
+    if smin > RANK_RTOL * smax:
+        lower = 2 * smin ** 2 if truncation == 2 * mult else 0.0
+        mx = math.sqrt(sum((u ** 2 / s ** 2).sum(axis=1)
+                           for u, s in svds).max() / 4)
+    return FrameReport(truncation, float(lower), 2 * float(smax) ** 2,
+                       _tail((rows ** 2).sum(axis=1)), mx)
 
 
 def interpolation_constant(divisor: Divisor, truncation: int) -> float:

@@ -73,10 +73,10 @@ def displacement_entry_mp(z: complex, k: int, j: int) -> complex:
 def frame_oracle(divisor: dv.Divisor, n: int) -> dict:
     """A, B, M_X and the tail at one truncation N from R(N) built for that
     N alone: one displacement_matrix call per node (zero rows for the jets
-    of order >= N), then eigvalsh of R* R when R is tall and one gesvd SVD
-    otherwise, with the library's rank rule.  The tail is the largest
-    unit mass a represented column of a displacement matrix loses to the
-    truncation."""
+    of order >= N), then eigvalsh of R* R when R is tall (A <= N eps B,
+    below its resolution, reads 0) and one gesvd SVD otherwise, with the
+    library's rank rule.  The tail is the largest unit mass a represented
+    column of a displacement matrix loses to the truncation."""
     rows, tail = [], 0.0
     for z, m in zip(math.sqrt(divisor.alpha) * divisor.centers,
                     divisor.mults):
@@ -87,8 +87,9 @@ def frame_oracle(divisor: dv.Divisor, n: int) -> dict:
     r = np.vstack(rows)
     if r.shape[0] > n:
         vals = np.linalg.eigvalsh(r.conj().T @ r)
-        return {"lower": max(float(vals[0]), 0.0), "upper": float(vals[-1]),
-                "mx": math.inf, "tail_bound": tail}
+        resolved = vals[0] > n * np.finfo(float).eps * vals[-1]
+        return {"lower": float(vals[0]) if resolved else 0.0,
+                "upper": float(vals[-1]), "mx": math.inf, "tail_bound": tail}
     u, svals, _ = linalg.svd(r, full_matrices=False, lapack_driver="gesvd")
     lower, mx = 0.0, math.inf
     if svals[-1] > RANK_RTOL * svals[0]:

@@ -281,21 +281,33 @@ class TestDichotomyFamily:
             assert (row["A"] > 0) == math.isfinite(row["MX"]), row
 
     def test_point_builds_r_once(self, monkeypatch):
-        calls = []
-        build = fr.restriction_matrix
+        # only the +a node's rows are built, from one kernel call at a real
+        # centre; no restriction matrix is assembled
+        calls = {"restriction_matrix": [], "displacement_matrix": []}
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
+        def count(name):
+            fn = getattr(fr, name)
 
-        monkeypatch.setattr(fr, "restriction_matrix", counted)
+            def counted(*args):
+                out = fn(*args)
+                calls[name].append((args, getattr(out, "shape", None)))
+                return out
+            monkeypatch.setattr(fr, name, counted)
+
+        count("restriction_matrix")
+        count("displacement_matrix")
         dichotomy_point(16, 0.8)
-        assert len(calls) == 1
+        assert calls["restriction_matrix"] == []
+        [(args, shape)] = calls["displacement_matrix"]
+        assert isinstance(args[0], float) and args[0] > 0
+        assert shape == (32, 16)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_svd_converges_at_m64(self, tmp_path, threads):
-        # near-singular square R on which LAPACK's divide-and-conquer SVD
-        # fails to converge, depending on the BLAS thread count
+        # near-singular points of the family, on which LAPACK's
+        # divide-and-conquer SVD fails to converge depending on the BLAS
+        # thread count; the SVDs run here are of R's real 64 x 64 parity
+        # blocks E and O
         cfg = ("[dichotomy]\nmultiplicities = 64\n"
                "params = 0.882,0.884,0.886,1.099\n")
         code = ("import sys; from fockdiv.cli import main; sys.exit(main("
@@ -303,6 +315,12 @@ class TestDichotomyFamily:
         proc = run_subprocess(tmp_path, cfg, code,
                               OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_nonpositive_param_exits_2(self, tmp_path):
+        # the family's nodes sit at +/- param sqrt(m), param > 0
+        cfg = "[dichotomy]\nmultiplicities = 4\nparams = 0.8,0\n"
+        code, _ = run(tmp_path, "zero", cfg, "dichotomy")
+        assert code == EXIT_PRECONDITION
 
     def test_runs_without_mpmath(self, tmp_path):
         # heavy nodes, |z|^2 up to 36, still build R in double precision

@@ -1,22 +1,29 @@
 """Restriction matrices, truncated frame bounds, interpolation constants."""
 
+import configparser
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from conftest import child_peak_rss_mb, frame_oracle, random_divisor
-from fockdiv.divisor import Divisor, Region, lattice, overlap_constant
+from fockdiv.divisor import (Divisor, Region, lattice, overlap_constant,
+                             radial_rings)
 from fockdiv.errors import (NotInterpolatingError, ParameterError,
                             ResourceError, VerificationError)
 from fockdiv.fock import CoefVec, restriction_values
-from fockdiv.frame import (FrameReport, frame_bounds, frame_sweep,
-                           interpolation_constant, interpolation_witness,
-                           kernel_coefvec, restriction_matrix,
-                           sampling_defect_path)
+from fockdiv.frame import (RANK_RTOL, FrameReport, frame_bounds,
+                           frame_sweep, interpolation_constant,
+                           interpolation_witness, kernel_coefvec,
+                           restriction_matrix, sampling_defect_path,
+                           symmetric_pair_report)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestRestrictionMatrix:
@@ -161,15 +168,22 @@ def sweep_cases(draw):
 def assert_sweep_matches_oracle(X, truncations):
     reports = frame_sweep(X, truncations)
     assert [rep.truncation for rep in reports] == list(truncations)
+    eps = np.finfo(float).eps
     for rep in reports:
         want = frame_oracle(X, rep.truncation)
-        # Gram eigenvalues resolve A only to about eps * B, and the shared
-        # Gram sums in another order than the oracle's, so A gets that
-        # floor (measured up to 0.93 eps * B); pytest's default abs of
-        # 1e-12 would accept any A below 1e-12
-        floor = 16 * np.finfo(float).eps * want["upper"]
-        assert rep.lower == pytest.approx(want["lower"], rel=1e-10,
-                                          abs=floor)
+        if (rep.lower == 0.0) != (want["lower"] == 0.0):
+            # the two Gram sums fell on either side of the floor N eps B
+            # below which A reads 0: the measured one sits at that floor
+            measured = max(rep.lower, want["lower"])
+            assert abs(measured - rep.truncation * eps * want["upper"]) \
+                <= 2 * eps * want["upper"]
+        else:
+            # Gram eigenvalues resolve A only to about eps * B, and the
+            # shared Gram sums in another order than the oracle's, so A
+            # gets that floor (measured up to 0.93 eps * B); pytest's
+            # default abs of 1e-12 would accept any A below 1e-12
+            assert rep.lower == pytest.approx(want["lower"], rel=1e-10,
+                                              abs=16 * eps * want["upper"])
         assert rep.upper == pytest.approx(want["upper"], rel=1e-10, abs=0.0)
         assert rep.mx == pytest.approx(want["mx"], rel=1e-10, abs=0.0)
         assert abs(rep.tail_bound - want["tail_bound"]) <= 1e-15
@@ -194,6 +208,20 @@ class TestFrameSweep:
                   for rep in frame_sweep(X, truncations)]
         assert shapes[:3] == [(True, False), (False, True), (True, True)]
 
+    def test_gram_floor_reads_zero(self):
+        # cut jets at N = 60: eigvalsh left A = 2.74e-19 beside B = 3.71,
+        # far below its resolution N eps B = 4.9e-14, and the digits moved
+        # with the order of the Gram sum
+        X = radial_rings([1.5, 3.0, 4.5], [2, 3, 4], include_center=True,
+                         center_mult=5)
+        truncations = [3, 5, 10, 20, 30, 40, 50, 60, 70, 80, 100, 120, 150,
+                       200]
+        assert X.total_multiplicity > 60
+        rep = frame_sweep(X, truncations)[truncations.index(60)]
+        assert rep.lower == 0.0
+        assert rep.upper == pytest.approx(3.71101238634, rel=1e-10, abs=0.0)
+        assert frame_oracle(X, 60)["lower"] == 0.0
+
     def test_empty_truncation_list(self):
         X = Divisor(np.array([0j]), np.array([2]))
         assert frame_sweep(X, []) == []
@@ -211,6 +239,83 @@ class TestFrameSweep:
                 "frame_sweep(lattice(1.0, 1, 27, hole_radius=3.0),"
                 " [150, 300, 450, 600])")
         assert child_peak_rss_mb(code) < 140.0
+
+
+def symmetric_pair(a: float, mult: int) -> Divisor:
+    return Divisor(np.array([-a + 0j, a + 0j]), np.array([mult, mult]))
+
+
+def read_dichotomy_config():
+    cfg = configparser.ConfigParser()
+    cfg.read(ROOT / "configs" / "dichotomy.ini")
+    sec = cfg["dichotomy"]
+    return ([int(m) for m in sec["multiplicities"].split(",")],
+            [float(p) for p in sec["params"].split(",")])
+
+
+class TestSymmetricPair:
+    """The parity split against the generic path on the same divisor: both
+    are backward stable, so A and M_X may differ by N eps kappa relative,
+    kappa = sigma_max / sigma_min of R."""
+
+    @given(mult=st.integers(1, 40), param=st.floats(0.05, 2.0),
+           extra=st.sampled_from([0, 1, 7]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_frame_bounds(self, mult, param, extra):
+        a, n = param * math.sqrt(mult), 2 * mult + extra
+        X = symmetric_pair(a, mult)
+        rep, want = symmetric_pair_report(a, mult, n), frame_bounds(X, n)
+        svals = linalg.svd(restriction_matrix(X, n).matrix, compute_uv=False,
+                           lapack_driver="gesvd")
+        ratio = svals[-1] / svals[0]
+        assert rep.truncation == n
+        assert rep.upper == pytest.approx(want.upper, rel=1e-13, abs=0.0)
+        assert abs(rep.tail_bound - want.tail_bound) <= 1e-15
+        assert (rep.lower > 0) == (n == 2 * mult and math.isfinite(rep.mx))
+        if not RANK_RTOL / 2 < ratio < 2 * RANK_RTOL:
+            assert math.isinf(rep.mx) == math.isinf(want.mx)
+        if math.isfinite(rep.mx) and math.isfinite(want.mx):
+            tol = 2 * n * np.finfo(float).eps / ratio
+            assert rep.lower == pytest.approx(want.lower, rel=tol, abs=0.0)
+            assert rep.mx == pytest.approx(want.mx, rel=tol, abs=0.0)
+
+    def test_flags_shipped_dichotomy_points(self):
+        mults, params = read_dichotomy_config()
+        for mult in mults:
+            for param in params:
+                a = param * math.sqrt(mult)
+                assert math.isinf(
+                    symmetric_pair_report(a, mult, 2 * mult).mx) == \
+                    math.isinf(frame_bounds(symmetric_pair(a, mult),
+                                            2 * mult).mx), (mult, param)
+
+    @pytest.mark.parametrize("mult,param", [
+        (16, 1.0), (16, 1.1), (16, 1.2), (16, 1.3),
+        (36, 0.7), (36, 0.8), (36, 0.9)])
+    def test_within_backward_error_of_mp_inverse(self, mult, param):
+        # A = 1 / ||R^-1||_2^2 and M_X = the largest column norm of R^-1,
+        # with R^-1 from 80-digit LU of the double R.  R is real up to the
+        # rounding of the -a rows' phases e^{-i pi k}, so its real part is
+        # inverted (about a third of the complex time)
+        a, n = param * math.sqrt(mult), 2 * mult
+        rows = restriction_matrix(symmetric_pair(a, mult), n).matrix
+        with mp.workdps(80):
+            inv = mp.inverse(mp.matrix(rows.real.tolist()))
+            inv = np.array(inv.tolist(), dtype=float)
+        lower = 1.0 / np.linalg.norm(inv, 2) ** 2
+        mx = math.sqrt((inv ** 2).sum(axis=0).max())
+        kappa = np.linalg.norm(rows, 2) * np.linalg.norm(inv, 2)
+        rep = symmetric_pair_report(a, mult, n)
+        tol = 2 * n * np.finfo(float).eps * kappa
+        assert rep.lower == pytest.approx(lower, rel=tol, abs=0.0)
+        assert rep.mx == pytest.approx(mx, rel=tol, abs=0.0)
+
+    @pytest.mark.parametrize("a,mult,n", [
+        (0.0, 4, 8), (-1.0, 4, 8), (math.nan, 4, 8), (math.inf, 4, 8),
+        (1.0, 4, 7), (1.0, 0, 4)])
+    def test_rejects_bad_arguments(self, a, mult, n):
+        with pytest.raises(ParameterError):
+            symmetric_pair_report(a, mult, n)
 
 
 class TestInterpolationConstant:
