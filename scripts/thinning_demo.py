@@ -41,8 +41,9 @@ def main():
         print(f"removed {z:.4g}")
     inner = Region.disc(17.0, 0.1)
     rows = ["C,worst_margin"]
-    for C in [1.0, 2.0, 3.0]:
-        _, margin = covering_margin(thin, C, inner, shrink=True)
+    c_list = [1.0, 2.0, 3.0]
+    shrunk = [shrink for _, shrink in covering_margin(thin, c_list, inner)]
+    for C, (_, margin) in zip(c_list, shrunk):
         rows.append(f"{C:g},{margin:.6g}")
         print(rows[-1])
     args.out.mkdir(parents=True, exist_ok=True)

@@ -87,16 +87,15 @@ def cmd_geometry(cfg) -> dict[str, list[str]]:
     rows = ["record,C,mode,value,aux1,aux2"]
     s_est = dv.overlap_constant(X, W)
     rows.append(f"overlap_constant,,,{s_est},,")
-    for C in margins:
-        wz, margin = dv.covering_margin(X, C, W, shrink=False)
-        rows.append(f"covering,{C:g},expand,{margin:.12g},"
-                    f"{wz.real:.12g},{wz.imag:.12g}")
-        try:
-            wz, margin = dv.covering_margin(X, C, W, shrink=True)
-            rows.append(f"covering,{C:g},shrink,{margin:.12g},"
+    covering = dv.covering_margin(X, margins, W)
+    for C, entries in zip(margins, covering):
+        for mode, entry in zip(("expand", "shrink"), entries):
+            if entry is None:
+                rows.append(f"covering,{C:g},{mode},empty-system,,")
+                continue
+            wz, margin = entry
+            rows.append(f"covering,{C:g},{mode},{margin:.12g},"
                         f"{wz.real:.12g},{wz.imag:.12g}")
-        except PreconditionError:
-            rows.append(f"covering,{C:g},shrink,empty-system,,")
         ok, worst = dv.disjointness_check(X, C, expand=True)
         rows.append(f"disjoint,{C:g},expand,{int(ok)},"
                     f"{'' if worst[0] is None else worst[0]},"

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DomainError, ParameterError, PreconditionError
+from .errors import (DomainError, ParameterError, PreconditionError,
+                     ResourceError)
 
 # Relative padding of every neighbour reach.  The tree's distances and
 # np.abs(z - c) differ by a few ulps at most, so the padded candidate sets
@@ -24,6 +25,8 @@ from .errors import DomainError, ParameterError, PreconditionError
 _REACH_PAD = 1.0 + 1e-9
 # Largest center modulus: squared distances stay finite below it.
 _CENTER_LIMIT = 1e150
+# Largest scan lattice of Region.mesh, in points (64 MB as complex).
+MAX_GRID_POINTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,8 @@ class Region:
     rect: tuple = ()  # (xmin, xmax, ymin, ymax)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.h, self.radius, *self.rect))):
+            raise DomainError("window radius, bounds and h must be finite")
         if self.h <= 0:
             raise ParameterError(f"grid resolution must be positive, got {self.h!r}")
         if self.kind == "disc":
@@ -181,11 +186,17 @@ class Region:
         return cls(kind="rect", h=h, rect=(xmin, xmax, ymin, ymax))
 
     def mesh(self) -> np.ndarray:
-        """The scan lattice over the bounding box, as a 2-D array."""
-        r = self.radius
+        """The scan lattice over the bounding box, as a 2-D array; more than
+        MAX_GRID_POINTS points raise ResourceError before any allocation."""
+        r, h = self.radius, self.h
         xmin, xmax, ymin, ymax = self.rect or (-r, r, -r, r)
-        gx, gy = np.meshgrid(np.arange(xmin, xmax + self.h / 2, self.h),
-                             np.arange(ymin, ymax + self.h / 2, self.h))
+        size = (math.ceil((xmax + h / 2 - xmin) / h)
+                * math.ceil((ymax + h / 2 - ymin) / h))
+        if size > MAX_GRID_POINTS:
+            raise ResourceError(f"scan lattice of {size:.3g} points exceeds "
+                                f"the cap of {MAX_GRID_POINTS}")
+        gx, gy = np.meshgrid(np.arange(xmin, xmax + h / 2, h),
+                             np.arange(ymin, ymax + h / 2, h))
         return gx + 1j * gy
 
     def grid(self) -> np.ndarray:
@@ -245,18 +256,19 @@ def _count_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
 
 
 def _circle_intersections(c1, r1, c2, r2):
-    """Intersection points of two circles (empty tuple if none)."""
-    d = abs(c2 - c1)
-    if d == 0 or d > r1 + r2 or d < abs(r1 - r2):
-        return ()
-    a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
-    h_sq = r1 * r1 - a * a
-    if h_sq < 0:
-        return ()
-    h = math.sqrt(h_sq)
-    mid = c1 + a * (c2 - c1) / d
-    off = 1j * h * (c2 - c1) / d
-    return (mid + off, mid - off)
+    """Intersection points of the circles |z - c1| = r1 and |z - c2| = r2,
+    elementwise over arrays: (meets, p, q), with p and q the two points of
+    each pair where meets holds.  Concentric circles never meet."""
+    delta = c2 - c1
+    d = np.hypot(delta.real, delta.imag)  # the scalar abs; np.abs may differ
+    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0
+        a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
+        h_sq = r1 * r1 - a * a
+    meets = (d > 0) & (d <= r1 + r2) & (d >= abs(r1 - r2)) & (h_sq >= 0)
+    d, a, delta = d[meets], a[meets], delta[meets]
+    mid = c1[meets] + a * delta / d
+    off = 1j * np.sqrt(h_sq[meets]) * delta / d
+    return meets, mid + off, mid - off
 
 
 def overlap_count(divisor: Divisor, z: complex) -> int:
@@ -267,56 +279,64 @@ def overlap_count(divisor: Divisor, z: complex) -> int:
 
 def overlap_constant(divisor: Divisor, window: Region) -> int:
     """Max covering count over the window grid, enriched with centers and
-    pairwise disc intersection points.  A certified lower bound for (and a
-    heuristic estimate of) the true overlap constant."""
+    pairwise circle intersection points (one vectorized pass over the near
+    pairs).  A certified lower bound for (and a heuristic estimate of) the
+    true overlap constant."""
     pts = window.grid()
     if pts.size == 0:
         raise ParameterError("window grid is empty")
-    radii = divisor.radii
-    extra = [divisor.centers]
+    centers, radii = divisor.centers, divisor.radii
     # circles meet only at center distance <= r_i + r_j <= 2 max radius
-    pairs = cKDTree(_xy(divisor.centers)).query_pairs(
+    pairs = cKDTree(_xy(centers)).query_pairs(
         2 * radii.max(initial=0.0) * _REACH_PAD, output_type="ndarray")
-    for i, j in pairs:
-        pts_ij = _circle_intersections(divisor.centers[i], radii[i],
-                                       divisor.centers[j], radii[j])
-        if pts_ij:
-            # Nudge inward so open-disc membership is unambiguous.
-            mid = (divisor.centers[i] + divisor.centers[j]) / 2
-            extra.append(np.array([p + 1e-9 * (mid - p) for p in pts_ij]))
-    all_pts = np.concatenate([pts] + extra)
-    counts = _count_scan(all_pts, divisor.centers, radii)
-    return int(counts.max())
+    i, j = pairs[:, 0], pairs[:, 1]
+    meets, p, q = _circle_intersections(centers[i], radii[i],
+                                        centers[j], radii[j])
+    # Nudge inward so open-disc membership is unambiguous.
+    mid = ((centers[i] + centers[j]) / 2)[meets, None]
+    pq = np.column_stack((p, q))
+    all_pts = np.concatenate([pts, centers, (pq + 1e-9 * (mid - pq)).ravel()])
+    return int(_count_scan(all_pts, centers, radii).max())
 
 
-def covering_margin(divisor: Divisor, C: float, window: Region,
-                    shrink: bool = False) -> tuple[complex, float]:
-    """Worst covering margin over the window: max_z min_node
-    (|z - center| - rho), with rho = radius + C (expand) or radius - C over
-    the nodes with radius > C (shrink).  margin <= 0 means covered."""
+def covering_margin(divisor: Divisor, C, window: Region):
+    """Worst covering margins over the window, for one margin C (a result)
+    or a sequence of them (a list).  A result is (expand, shrink), each a
+    (worst point, margin) with margin max_z min_node (|z - center| - rho),
+    rho = radius + C (expand) or radius - C over the nodes with radius > C
+    (shrink; None when no radius exceeds C).  margin <= 0 means covered.
+    A common shift of the radii shifts the margin back, so one scan of
+    rho = radius per distinct node set serves every C and both modes."""
+    margins = np.asarray(C, dtype=float)
+    if not np.all(np.isfinite(margins)):
+        raise ParameterError(f"margin C must be finite, got {C!r}")
     pts = window.grid()
     if pts.size == 0:
         raise ParameterError("window grid is empty")
     radii = divisor.radii
-    if shrink:
-        eligible = radii > C
-        if not eligible.any():
-            raise PreconditionError(
-                f"shrink by C={C} leaves an empty disc system")
-        centers = divisor.centers[eligible]
-        rho = radii[eligible] - C
-    else:
-        centers = divisor.centers
-        rho = radii + C
-    margins = _margin_scan(pts, centers, rho)
-    i = int(np.argmax(margins))
-    return complex(pts[i]), float(margins[i])
+    worst = {}  # node set -> (worst point, margin at C = 0)
+
+    def entry(nodes: np.ndarray, shift: float):
+        if not nodes.any():
+            return None
+        key = nodes.tobytes()
+        if key not in worst:
+            m = _margin_scan(pts, divisor.centers[nodes], radii[nodes])
+            worst[key] = complex(pts[m.argmax()]), float(m.max())
+        wz, m = worst[key]
+        return wz, m + shift
+
+    rows = [(entry(np.ones(radii.size, bool), -c), entry(radii > c, c))
+            for c in margins.ravel().tolist()]
+    return rows if margins.ndim else rows[0]
 
 
 def disjointness_check(divisor: Divisor, C: float, expand: bool = True
                        ) -> tuple[bool, tuple]:
     """Pairwise disjointness of the discs with radii +- C (tangency counts
     as disjoint).  Returns (ok, (i, j, violation)) for the worst pair."""
+    if not math.isfinite(C):
+        raise ParameterError(f"margin C must be finite, got {C!r}")
     radii = divisor.radii
     if expand:
         return _worst_overlap(divisor.centers, radii + C)
@@ -385,12 +405,11 @@ def _common_point(discs) -> complex | None:
     if best.fun < -1e-12:
         return complex(best.x[0], best.x[1])
     # Enrich with pairwise circle intersections before giving up.
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for p in _circle_intersections(centers[i], radii[i],
-                                           centers[j], radii[j]):
-                if depth([p.real, p.imag]) < 1e-12:
-                    return p
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    _, p, q = _circle_intersections(centers[i], radii[i], centers[j], radii[j])
+    for z in np.column_stack((p, q)).ravel().tolist():
+        if depth([z.real, z.imag]) < 1e-12:
+            return z
     if best.fun <= 1e-12:
         return complex(best.x[0], best.x[1])
     return None

@@ -145,6 +145,22 @@ def dense_disjointness_check(centers, rho) -> tuple[bool, tuple]:
     return worst[2] <= 1e-12, worst
 
 
+def circle_intersections(c1, r1, c2, r2) -> tuple:
+    """Intersection points of two circles, one pair at a time (empty tuple
+    if none)."""
+    d = abs(c2 - c1)
+    if d == 0 or d > r1 + r2 or d < abs(r1 - r2):
+        return ()
+    a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
+    h_sq = r1 * r1 - a * a
+    if h_sq < 0:
+        return ()
+    h = math.sqrt(h_sq)
+    mid = c1 + a * (c2 - c1) / d
+    off = 1j * h * (c2 - c1) / d
+    return (mid + off, mid - off)
+
+
 def dense_overlap_constant(divisor: dv.Divisor, window: dv.Region) -> int:
     """overlap_constant with the intersection points of every node pair
     and dense counts."""
@@ -152,7 +168,7 @@ def dense_overlap_constant(divisor: dv.Divisor, window: dv.Region) -> int:
     extra = [c]
     for i in range(len(divisor)):
         for j in range(i + 1, len(divisor)):
-            pts_ij = dv._circle_intersections(c[i], r[i], c[j], r[j])
+            pts_ij = circle_intersections(c[i], r[i], c[j], r[j])
             if pts_ij:
                 mid = (c[i] + c[j]) / 2
                 extra.append(np.array([p + 1e-9 * (mid - p) for p in pts_ij]))

@@ -177,8 +177,8 @@ def test_12_thinning():
     removed = set(map(complex, X.centers)) - set(map(complex, thin.centers))
     exact = removed == set(map(complex, planted))
     inner = Region.disc(17.0, 0.1)
-    margins_ok = all(covering_margin(thin, C, inner, shrink=True)[1] <= 0
-                     for C in [1.0, 2.0, 3.0])
+    margins_ok = all(margin <= 0 for _, (_, margin)
+                     in covering_margin(thin, [1.0, 2.0, 3.0], inner))
     ok = exact and margins_ok and time.monotonic() - t0 < 180
     report(12, "thinning removes exactly the planted far nodes and keeps "
                "the shrunk coverings", ok)

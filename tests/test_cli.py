@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fockdiv.divisor as dv
 import fockdiv.frame as fr
-from fockdiv.cli import (EXIT_OK, EXIT_PRECONDITION, dichotomy_point,
-                         dichotomy_sweep, main)
+from fockdiv.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_RESOURCE,
+                         dichotomy_point, dichotomy_sweep, main)
 from fockdiv.divisor import Divisor
 
 GEOMETRY_CFG = """\
@@ -100,6 +101,21 @@ param,MX,N
 40,1.37752602298,40
 """
 
+# configs/geometry.ini as computed by one covering scan per (C, mode)
+SHIPPED_GEOMETRY = """\
+record,C,mode,value,aux1,aux2
+overlap_constant,,,4,,
+covering,0,expand,1.53621013601,-0.05,-0.05
+covering,0,shrink,1.53621013601,-0.05,-0.05
+disjoint,0,expand,0,0,1.32842712475
+covering,0.25,expand,1.28621013601,-0.05,-0.05
+covering,0.25,shrink,1.78621013601,-0.05,-0.05
+disjoint,0.25,expand,0,0,1.82842712475
+covering,0.5,expand,1.03621013601,-0.05,-0.05
+covering,0.5,shrink,2.03621013601,-0.05,-0.05
+disjoint,0.5,expand,0,0,2.32842712475
+"""
+
 
 def report_body(out, name):
     """A report's lines below its '#' provenance header, joined."""
@@ -160,6 +176,28 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert (out / "geometry.csv").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("radius = 7", "radius = inf"), ("radius = 7", "radius = nan"),
+        ("h = 0.2", "h = nan"), ("h = 0.2", "h = inf")])
+    def test_non_finite_window(self, tmp_path, old, new):
+        code, _ = run(tmp_path, "g", GEOMETRY_CFG.replace(old, new),
+                      "geometry")
+        assert code == EXIT_PRECONDITION
+
+    def test_scan_lattice_over_cap(self, tmp_path):
+        # 2e8 points a side; refused before any allocation
+        cfg = GEOMETRY_CFG.replace("radius = 7", "radius = 10") \
+            .replace("h = 0.2", "h = 1e-7")
+        code, _ = run(tmp_path, "g", cfg, "geometry")
+        assert code == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("margins", ["nan", "inf", "0,-inf"])
+    def test_non_finite_margin(self, tmp_path, margins):
+        cfg = GEOMETRY_CFG.replace("margins = 0.0,0.25",
+                                   f"margins = {margins}")
+        code, _ = run(tmp_path, "g", cfg, "geometry")
+        assert code == EXIT_PRECONDITION
+
 
 class TestReports:
     def test_provenance_header(self, tmp_path):
@@ -214,6 +252,49 @@ class TestReports:
                      "--out", str(out)]) == EXIT_OK
         assert report_body(out, "frame.csv") == SHIPPED_FRAME
         assert report_body(out, "mx.csv") == SHIPPED_MX
+
+    def test_shipped_geometry_config(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["geometry", "--config",
+                     str(ROOT / "configs" / "geometry.ini"),
+                     "--out", str(out)]) == EXIT_OK
+        assert report_body(out, "geometry.csv") == SHIPPED_GEOMETRY
+
+    def test_geometry_scans_once_per_node_set(self, tmp_path, monkeypatch):
+        # the shipped margins stay below every radius: one node set, so one
+        # margin scan serves all six covering rows, and one count scan the
+        # overlap constant
+        calls = {"_margin_scan": 0, "_count_scan": 0}
+
+        def count(name):
+            fn = getattr(dv, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(dv, name, counted)
+
+        count("_margin_scan")
+        count("_count_scan")
+        assert main(["geometry", "--config",
+                     str(ROOT / "configs" / "geometry.ini"),
+                     "--out", str(tmp_path / "shipped")]) == EXIT_OK
+        assert calls == {"_margin_scan": 1, "_count_scan": 1}
+        # radii 1, 2, 3: the node sets are all three (every expand, and a
+        # shrink by C < 1), {2, 3} (1 <= C < 2), {3} (2 <= C < 3) and none
+        # (C >= 3): three margin scans
+        X = Divisor(np.array([0j, 2 + 0j, 5j]), np.array([1, 4, 9]))
+        p = tmp_path / "d.csv"
+        X.to_csv(p)
+        cfg = GEOMETRY_FILE_CFG.format(path=str(p)) \
+            + "[geometry]\nmargins = 0,-1,0.5,1,1.5,2.5,3,3.5\n"
+        code, out = run(tmp_path, "mixed", cfg, "geometry")
+        assert code == EXIT_OK
+        assert calls == {"_margin_scan": 4, "_count_scan": 2}
+        empty = [ln.split(",")[1] for ln
+                 in report_body(out, "geometry.csv").splitlines()
+                 if ln.endswith("empty-system,,")]
+        assert empty == ["3", "3.5"]
 
     def test_frame_builds_r_once(self, tmp_path, monkeypatch):
         # three truncations share one R, built from one displacement_matrix

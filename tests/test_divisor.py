@@ -8,15 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (child_peak_rss_mb, dense_count_scan,
-                      dense_disjointness_check, dense_margin_scan,
-                      dense_overlap_constant, lens_area_grid, random_divisor)
-from fockdiv.divisor import (Divisor, Region, _count_scan, _lens_area,
+import fockdiv.divisor as dv
+from conftest import (child_peak_rss_mb, circle_intersections,
+                      dense_count_scan, dense_disjointness_check,
+                      dense_margin_scan, dense_overlap_constant,
+                      lens_area_grid, random_divisor)
+from fockdiv.divisor import (Divisor, Region, _circle_intersections,
+                             _count_scan, _lens_area,
                              _margin_scan, _worst_overlap, covering_margin,
                              disjointness_check, lattice, overlap_constant,
                              overlap_count, radial_rings, thin_subdivisor,
                              triple_disc_witness)
-from fockdiv.errors import DomainError, ParameterError, PreconditionError
+from fockdiv.errors import (DomainError, ParameterError, PreconditionError,
+                            ResourceError)
 
 
 class TestDivisorModel:
@@ -133,6 +137,37 @@ class TestRegion:
         with pytest.raises(ParameterError):
             Region.rectangle(1, -1, 0, 1, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_window(self, bad):
+        with pytest.raises(DomainError):
+            Region.disc(bad, 0.1)
+        with pytest.raises(DomainError):
+            Region.disc(5.0, bad)
+        for k in range(4):
+            rect = [-1.0, 1.0, -1.0, 1.0]
+            rect[k] = bad
+            with pytest.raises(DomainError):
+                Region.rectangle(*rect, 0.1)
+
+    def test_mesh_cap_raises_before_allocating(self, monkeypatch):
+        # 2e8 x 2e8 points: the count alone must stop it
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("the capped mesh allocated a lattice")
+        monkeypatch.setattr(np, "meshgrid", no_alloc)
+        monkeypatch.setattr(np, "arange", no_alloc)
+        with pytest.raises(ResourceError):
+            Region.disc(10.0, 1e-7).mesh()
+        with pytest.raises(ResourceError):
+            Region.rectangle(0, 1, 0, 1, 1e-4).grid()
+
+    def test_mesh_cap_is_the_arange_size(self, monkeypatch):
+        # n x n points with n = ceil((2 r + h / 2) / h): r = 9.75 and h = 1
+        # give n = 20, exactly at a cap of 400; r = 10.25 gives n = 21
+        monkeypatch.setattr(dv, "MAX_GRID_POINTS", 400)
+        assert Region.disc(9.75, 1.0).mesh().size == 400
+        with pytest.raises(ResourceError):
+            Region.disc(10.25, 1.0).mesh()
+
 
 class TestOverlap:
     def test_count_single(self):
@@ -221,6 +256,28 @@ class TestNeighbourScans:
             assert dense_disjointness_check(far, r)[0]
             assert _worst_overlap(far, r) == dense_disjointness_check(far, r)
 
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           grid=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_circle_intersections_match_pairwise_formula(self, seed, grid):
+        # on the half-integer grid: concentric pairs, tangent pairs and
+        # exact distance ties; elsewhere generic pairs
+        rng = np.random.default_rng(seed)
+        n = 60
+        if grid:
+            c1, c2 = (rng.integers(-4, 5, (2, n)) / 2
+                      + 1j * rng.integers(-4, 5, (2, n)) / 2)
+            r1, r2 = rng.choice([0.5, 1.0, 1.5, math.sqrt(2)], (2, n))
+        else:
+            c1, c2 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+            r1, r2 = rng.uniform(0.1, 2.0, (2, n))
+        meets, p, q = _circle_intersections(c1, r1, c2, r2)
+        expected = [circle_intersections(*args)
+                    for args in zip(c1, r1, c2, r2)]
+        assert meets.tolist() == [bool(e) for e in expected]
+        assert np.column_stack((p, q)).tolist() \
+            == [list(e) for e in expected if e]
+
     def test_single_node(self):
         c, r = np.array([1 + 1j]), np.array([2.0])
         points = np.array([1 + 1j, 3 + 1j, 1 + 3j, -1 + 1j, 4 + 1j, 1e3 + 0j])
@@ -270,32 +327,90 @@ class TestNeighbourScans:
         assert child_peak_rss_mb(code) < 200
 
 
+@st.composite
+def margin_cases(draw):
+    """(divisor, window, margins): mixed multiplicities, so the shrunk node
+    sets differ between margins, and margins from below zero to past the
+    largest radius (an empty shrunk system)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2 ** 32 - 1)))
+    X = random_divisor(rng, max_nodes=12, max_mult=9, scale=1.5)
+    alpha = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    X = Divisor(X.centers, X.mults, alpha)
+    r = X.radii
+    margins = draw(st.lists(st.sampled_from(
+        [-1.0, 0.0, 0.25, 0.5, float(r.min()), float(np.median(r)),
+         float(r.max()) - 1e-3, float(r.max()), float(r.max()) + 0.5]),
+        min_size=1, max_size=6))
+    W = draw(st.sampled_from([Region.disc(5.0, 0.4),
+                              Region.rectangle(-4.0, 3.0, -2.0, 5.0, 0.3)]))
+    return X, W, margins
+
+
 class TestCoveringAndDisjointness:
     def test_covering_margin_sign(self):
         X = Divisor(np.array([0j]), np.array([16]))
         W = Region.disc(3.0, 0.1)
-        _, margin = covering_margin(X, 0.0, W)
+        (_, margin), _ = covering_margin(X, 0.0, W)
         assert margin <= 0  # disc of radius 4 covers the window
-        _, margin = covering_margin(X, 0.0, Region.disc(5.0, 0.1))
+        (_, margin), _ = covering_margin(X, 0.0, Region.disc(5.0, 0.1))
         assert margin == pytest.approx(1.0, abs=0.05)
 
     def test_covering_margin_nonincreasing_in_C_expand(self):
         X = Divisor(np.array([0j, 3 + 0j]), np.array([1, 1]))
         W = Region.disc(4.0, 0.2)
-        vals = [covering_margin(X, C, W)[1] for C in [0.0, 0.5, 1.0, 2.0]]
+        vals = [expand[1] for expand, _
+                in covering_margin(X, [0.0, 0.5, 1.0, 2.0], W)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_covering_margin_nondecreasing_in_C_shrink(self):
         X = Divisor(np.array([0j]), np.array([25]))
         W = Region.disc(3.0, 0.1)
-        vals = [covering_margin(X, C, W, shrink=True)[1]
-                for C in [0.0, 1.0, 1.9]]
+        vals = [shrink[1] for _, shrink
+                in covering_margin(X, [0.0, 1.0, 1.9], W)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_shrink_empty_system(self):
+        # no radius exceeds C: the shrunk entry is None, the expanded one
+        # is still measured
         X = Divisor(np.array([0j]), np.array([1]))
-        with pytest.raises(PreconditionError):
-            covering_margin(X, 2.0, Region.disc(2.0, 0.1), shrink=True)
+        expand, shrink = covering_margin(X, 2.0, Region.disc(2.0, 0.1))
+        assert shrink is None
+        assert expand[1] == pytest.approx(-1.0, abs=0.01)
+
+    @given(case=margin_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_dense_oracle(self, case):
+        X, W, margins = case
+        pts, c, r = W.grid(), X.centers, X.radii
+        rows = covering_margin(X, margins, W)
+        assert len(rows) == len(margins)
+        eps = np.finfo(float).eps
+        for C, (expand, shrink) in zip(margins, rows):
+            systems = [(expand, c, r + C)]
+            if (r > C).any():
+                systems.append((shrink, c[r > C], r[r > C] - C))
+            else:
+                assert shrink is None
+            for (wz, margin), cs, rho in systems:
+                dense = dense_margin_scan(pts, cs, rho)
+                tol = 8 * eps * (np.abs(pts).max() + np.abs(cs).max()
+                                 + r.max() + abs(C))
+                assert abs(margin - dense.max()) <= tol
+                at_wz = dense_margin_scan(np.array([wz]), cs, rho)[0]
+                assert wz in pts and abs(at_wz - dense.max()) <= tol
+        assert covering_margin(X, margins[0], W) == rows[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_margin(self, bad):
+        X = Divisor(np.array([0j, 1 + 0j]), np.array([1, 2]))
+        W = Region.disc(2.0, 0.5)
+        for C in (bad, [0.0, bad]):
+            with pytest.raises(ParameterError):
+                covering_margin(X, C, W)
+        for expand in (True, False):
+            with pytest.raises(ParameterError):
+                disjointness_check(X, bad, expand=expand)
 
     def test_disjointness(self):
         X = Divisor(np.array([0j, 5 + 0j]), np.array([1, 1]))
@@ -411,8 +526,7 @@ class TestThinning:
         thin = thin_subdivisor(base, W, [1.0, 2.0, 3.0])
         # explicit recheck: shrunk discs still cover a smaller window
         inner = Region.disc(17.0, 0.15)
-        for C in [1.0, 2.0, 3.0]:
-            _, margin = covering_margin(thin, C, inner, shrink=True)
+        for _, (_, margin) in covering_margin(thin, [1.0, 2.0, 3.0], inner):
             assert margin <= 0
 
     def test_rejects_bad_c_list(self):
