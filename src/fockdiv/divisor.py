@@ -442,28 +442,25 @@ def triple_disc_witness(d1, d2, d3) -> tuple[tuple[int, int], float, float]:
     return (i, j), slack, area_ratio
 
 
-def _uncovered_radius(divisor: Divisor, C: float, window: Region,
-                      collar: float) -> float | None:
-    """Smallest R such that the shrunk discs cover the window (minus the
-    boundary collar) outside the centered disc of radius R.  None when no
-    disc survives the shrink or nothing is covered."""
-    radii = divisor.radii
-    eligible = radii > C
-    if not eligible.any():
+def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray,
+                      edge: float, scans: dict) -> float | None:
+    """Smallest R such that the discs shrunk by C cover pts outside the
+    centered disc of radius R; None when no disc survives the shrink, pts
+    is empty or the uncovered points reach edge.  The shrink shifts the
+    margins by +C, so scans keeps one scan of the unshrunk discs per node
+    set {radius > C}, and the uncovered points have base margin > -C."""
+    nodes = divisor.radii > C
+    if not nodes.any() or pts.size == 0:
         return None
-    pts = window.grid()
-    pts = pts[window.contains(pts, collar)]
-    if pts.size == 0:
-        return None
-    margins = _margin_scan(pts, divisor.centers[eligible],
-                           radii[eligible] - C)
-    uncovered = pts[margins > 0]
+    centers, radii = divisor.centers[nodes], divisor.radii[nodes]
+    key = centers.tobytes() + radii.tobytes()
+    if key not in scans:
+        scans[key] = _margin_scan(pts, centers, radii)
+    uncovered = pts[scans[key] > -C]
     if uncovered.size == 0:
         return 0.0
     r = float(np.abs(uncovered).max())
-    if window.kind == "disc" and r >= window.radius - collar - window.h:
-        return None  # uncovered all the way to the window edge
-    return r
+    return None if r >= edge else r
 
 
 def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
@@ -476,15 +473,19 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
     if not c_list or any(c2 <= c1 for c1, c2 in zip(c_list, c_list[1:])):
         raise ParameterError("c_list must be strictly increasing and nonempty")
     collar = float(divisor.radii.max()) if len(divisor) else 0.0
+    pts = window.grid()
+    pts = pts[window.contains(pts, collar)]
+    edge = (window.radius - collar - window.h if window.kind == "disc"
+            else math.inf)
+    scans = {}
     for C in c_list:
-        r = _uncovered_radius(divisor, C, window, collar)
-        if r is None:
+        if _uncovered_radius(divisor, C, pts, edge, scans) is None:
             raise PreconditionError(
                 f"shrink-covering hypothesis fails for C={C}")
     keep = np.ones(len(divisor), dtype=bool)
     s_max = int(math.ceil(math.sqrt(float(divisor.mults.max()))))
     for s in range(1, s_max + 1):
-        r_s = _uncovered_radius(divisor, float(s), window, collar)
+        r_s = _uncovered_radius(divisor, float(s), pts, edge, scans)
         if r_s is None:
             continue  # no eligible discs at this shrink inside the window
         mask = ((np.abs(divisor.centers) > r_s + s)
@@ -493,7 +494,7 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
         keep &= ~mask
     thinned = divisor.subset(keep)
     for C in c_list:
-        if _uncovered_radius(thinned, C, window, collar) is None:
+        if _uncovered_radius(thinned, C, pts, edge, scans) is None:
             raise PreconditionError(
                 f"thinning broke the covering for C={C} (resolution too "
                 "coarse or window too small)")

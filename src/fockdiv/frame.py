@@ -16,7 +16,7 @@ from scipy import linalg
 from .divisor import Divisor
 from .errors import (NotInterpolatingError, ParameterError, ResourceError,
                      VerificationError)
-from .fock import CoefVec, coherent_coefficients, displacement_matrix, \
+from .fock import coherent_coefficients, displacement_matrix, \
     kernel_sampling_energy
 
 # Caps and thresholds (see module design notes in README).
@@ -73,25 +73,14 @@ def _scaled_centers(divisor: Divisor) -> np.ndarray:
     return math.sqrt(divisor.alpha) * divisor.centers
 
 
-def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
-    """Assemble the (sum of multiplicities) x truncation restriction matrix.
-    The nodes of one multiplicity m take their rows, the conjugated first
-    min(m, truncation) columns of their displacement matrices, from one
-    displacement_matrix call per block of at most ROW_BLOCK rows.  Jets of
-    order k >= truncation cannot be represented and keep zero rows, so the
-    shape stays sum(m)."""
-    if truncation < 1:
-        raise ParameterError(f"truncation must be positive, got {truncation}")
-    total = divisor.total_multiplicity
-    if total * truncation > MAX_ENTRIES:
-        raise ResourceError(
-            f"restriction matrix would hold {total * truncation} entries "
-            f"(cap {MAX_ENTRIES})")
+def _row_blocks(divisor: Divisor, truncation: int):
+    """R's rows at this truncation as (row indices, jet orders, rows), one
+    block of at most ROW_BLOCK rows (or one node's) per displacement_matrix
+    call: a node of multiplicity m takes the conjugated first
+    min(m, truncation) columns of its displacement matrix."""
     centers = _scaled_centers(divisor)
     mults = divisor.mults
     first_row = np.cumsum(mults) - mults
-    orders = np.arange(total) - np.repeat(first_row, mults)
-    rows = np.zeros((total, truncation), dtype=complex)
     for m in np.unique(mults):
         nodes = np.flatnonzero(mults == m)
         width = int(min(m, truncation))
@@ -99,23 +88,36 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
         for i in range(0, nodes.size, per_block):
             block = nodes[i:i + per_block]
             d = displacement_matrix(centers[block], truncation, width)
-            rows[first_row[block, None] + np.arange(width)] = \
-                d.conj().swapaxes(1, 2)
-    mass = _row_mass(rows, [truncation])[orders < truncation, 0]
-    return RestrictionMatrix(matrix=rows, orders=orders,
-                             tail_bound=_tail(mass))
+            yield ((first_row[block, None] + np.arange(width)).ravel(),
+                   np.tile(np.arange(width), block.size),
+                   d.conj().swapaxes(1, 2).reshape(-1, truncation))
+
+
+def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
+    """The (sum of multiplicities) x truncation restriction matrix: the
+    row blocks frame_sweep streams, stacked.  Jets of order >= truncation
+    cannot be represented and keep zero rows."""
+    if truncation < 1:
+        raise ParameterError(f"truncation must be positive, got {truncation}")
+    total = divisor.total_multiplicity
+    if total * truncation > MAX_ENTRIES:
+        raise ResourceError(
+            f"restriction matrix would hold {total * truncation} entries "
+            f"(cap {MAX_ENTRIES})")
+    mults = divisor.mults
+    rows, tail = np.zeros((total, truncation), dtype=complex), 0.0
+    for index, _, block in _row_blocks(divisor, truncation):
+        rows[index] = block
+        tail = max(tail, _tail(_row_mass(block, [truncation])))
+    orders = np.arange(total) - np.repeat(np.cumsum(mults) - mults, mults)
+    return RestrictionMatrix(matrix=rows, orders=orders, tail_bound=tail)
 
 
 def _row_mass(rows: np.ndarray, cuts: list[int]) -> np.ndarray:
     """Squared norm of each row's first N entries, one column per N in the
-    ascending cuts, summed blockwise over the segments between them."""
-    starts = [0, *cuts[:-1]]
-    mass = np.empty((rows.shape[0], len(cuts)))
-    for i in range(0, rows.shape[0], ROW_BLOCK):
-        seg = np.add.reduceat(np.abs(rows[i:i + ROW_BLOCK, :cuts[-1]]) ** 2,
-                              starts, axis=1)
-        np.cumsum(seg, axis=1, out=mass[i:i + ROW_BLOCK])
-    return mass
+    ascending cuts, summed over the segments between them."""
+    return np.cumsum(np.add.reduceat(np.abs(rows[:, :cuts[-1]]) ** 2,
+                                     [0, *cuts[:-1]], axis=1), axis=1)
 
 
 def _tail(mass: np.ndarray) -> float:
@@ -126,20 +128,21 @@ def _tail(mass: np.ndarray) -> float:
 
 def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     """A, B and M_X at each truncation N, one report per N in input order,
-    all from one restriction matrix built at the largest N.  Its entries do
-    not depend on N (row truncation is exact), so R(N) is its first N
-    columns with the rows of order k >= N set to zero.
+    from one pass over the row blocks of the restriction matrix R at the
+    largest N.  Its entries do not depend on N (row truncation is exact),
+    so R(N) is its first N columns with the rows of order k >= N set to
+    zero; each block updates every N's tail.
 
     With more rows than columns M_X is inf and A, B are the extreme
-    eigenvalues of G_N = R(N)* R(N), the leading N x N block of one Gram
-    matrix as wide as the largest such N.  Walking the truncations in
-    ascending order, each row enters that Gram once, blockwise, when it
-    becomes live (its order k first falls below N); A <= N eps B, below
-    eigvalsh's resolution, reads 0.  Otherwise one SVD of R(N) gives
-    B = sigma_max^2, A = sigma_min^2 (0 for wide R) and
-    M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags both: if
-    sigma_min <= RANK_RTOL sigma_max, then A = 0 and M_X = inf.  The tail
-    of each N comes from the rows' squared-norm sums up to N."""
+    eigenvalues of G_N = R(N)* R(N), the leading N x N block of one
+    Hermitian Gram matrix (lower triangle) as wide as the largest such N.
+    Each row enters it once, when it becomes live (k < N): at once, or
+    held until the ascending walk over the N reaches it; A <= N eps B,
+    below eigvalsh's resolution, reads 0.  Otherwise R, at most N x N, is
+    stored and one SVD of R(N) gives B = sigma_max^2, A = sigma_min^2 (0
+    for wide R) and M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags
+    both: if sigma_min <= RANK_RTOL sigma_max, then A = 0 and M_X = inf.
+    Memory: N^2 entries and the held rows, whatever the node count."""
     truncations = [int(n) for n in truncations]
     if len(divisor) == 0 or not truncations:
         return [FrameReport(truncation=n, lower=0.0, upper=0.0,
@@ -147,23 +150,41 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     cuts = sorted(set(truncations))
     if cuts[0] < 1:
         raise ParameterError(f"truncation must be positive, got {cuts[0]}")
-    rmat = restriction_matrix(divisor, cuts[-1])
-    rows, orders = rmat.matrix, rmat.orders
-    tall = [n for n in cuts if rmat.nrows > n]
-    width = tall[-1] if tall else 0
-    gram = np.zeros((width, width), dtype=complex)
-    mass = _row_mass(rows, cuts)
-    reports, prev = {}, 0
-    for n, mass_n in zip(cuts, mass.T):
-        live = orders < n
+    top, total = cuts[-1], divisor.total_multiplicity
+    tall = [n for n in cuts if total > n]
+    first, width = (tall[0], tall[-1]) if tall else (0, 0)
+    entries = top * top + width * int(
+        np.clip(np.minimum(divisor.mults, width) - first, 0, None).sum())
+    if entries > MAX_ENTRIES:
+        raise ResourceError(f"frame sweep would hold {entries} entries "
+                            f"(cap {MAX_ENTRIES})")
+    rows = np.zeros((total, top), dtype=complex) if total <= top else None
+    gram = np.zeros((width, width), dtype=complex, order="F")
+    held, loss = [], np.zeros(len(cuts))  # held: (orders, rows) pairs
+
+    def enter(part):  # gram += part* part in place, lower triangle
+        if width:
+            linalg.blas.zherk(1.0, part.conj().T, beta=1.0, c=gram,
+                              lower=1, overwrite_c=1)
+    for index, orders, block in _row_blocks(divisor, top):
+        if rows is not None:
+            rows[index] = block
+        loss = np.maximum(loss, np.where(
+            orders[:, None] < np.array(cuts),
+            1.0 - _row_mass(block, cuts), 0.0).max(axis=0))
+        enter(block[orders < first, :width])
+        late = (orders >= first) & (orders < width)
+        held.append((orders[late], block[late, :width]))
+    reports, prev = {}, first
+    for n, loss_n in zip(cuts, loss):
         lower, mx = 0.0, math.inf
         if n in tall:
-            new = np.flatnonzero(live & (orders >= prev))
-            for i in range(0, new.size, ROW_BLOCK):
-                blk = rows[new[i:i + ROW_BLOCK], :width]
-                gram += blk.conj().T @ blk
+            for orders, part in held:
+                enter(part[(orders >= prev) & (orders < n)])
             prev = n
-            vals = np.linalg.eigvalsh(gram[:n, :n])
+            # scipy's, on zherk's OpenBLAS: numpy's wheel has its own, and
+            # its idle threads slowed each eigensolve 3x on two cores
+            vals = linalg.eigvalsh(gram[:n, :n], driver="evd")
             upper = float(vals[-1])
             if vals[0] > n * np.finfo(float).eps * upper:
                 lower = float(vals[0])
@@ -175,13 +196,13 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
                                      lapack_driver="gesvd")
             upper = float(svals[0] ** 2)
             if svals[-1] > RANK_RTOL * svals[0]:
-                if rmat.nrows == n:
+                if total == n:
                     lower = float(svals[-1] ** 2)
                 gram_inv_diag = (np.abs(u) ** 2
                                  / svals[None, :] ** 2).sum(axis=1)
                 mx = math.sqrt(gram_inv_diag.max())
         reports[n] = FrameReport(truncation=n, lower=lower, upper=upper,
-                                 tail_bound=_tail(mass_n[live]), mx=mx)
+                                 tail_bound=min(1.0, float(loss_n)), mx=mx)
     return [reports[n] for n in truncations]
 
 
@@ -275,9 +296,3 @@ def interpolation_witness(divisor: Divisor, w: complex, truncation: int
             f"witness problem infeasible at truncation {truncation} "
             f"(residual {residual:.3g})")
     return float(np.linalg.norm(sol))
-
-
-def kernel_coefvec(z: complex, truncation: int, alpha: float = 1.0) -> CoefVec:
-    """Normalized kernel T_z 1 as a truncated coefficient vector."""
-    return CoefVec(coherent_coefficients(math.sqrt(alpha) * complex(z),
-                                         truncation))

@@ -297,9 +297,11 @@ class TestReports:
         assert empty == ["3", "3.5"]
 
     def test_frame_builds_r_once(self, tmp_path, monkeypatch):
-        # three truncations share one R, built from one displacement_matrix
-        # call per distinct multiplicity (each block holds up to ROW_BLOCK
-        # rows; these divisors fill one block per multiplicity)
+        # three truncations share one pass over R's rows, built from one
+        # displacement_matrix call per distinct multiplicity (each block
+        # holds up to ROW_BLOCK rows; these divisors fill one block per
+        # multiplicity); the sweep streams the blocks and never assembles
+        # R through restriction_matrix
         calls = {"restriction_matrix": 0, "displacement_matrix": 0}
 
         def count(name):
@@ -314,14 +316,14 @@ class TestReports:
         count("displacement_matrix")
         assert main(["frame", "--config", str(ROOT / "configs" / "frame.ini"),
                      "--out", str(tmp_path / "unit")]) == EXIT_OK
-        assert calls == {"restriction_matrix": 1, "displacement_matrix": 1}
+        assert calls == {"restriction_matrix": 0, "displacement_matrix": 1}
         X = Divisor(np.array([0j, 1.5 + 0j, 3j]), np.array([2, 1, 3]))
         p = tmp_path / "d.csv"
         X.to_csv(p)
         code, _ = run(tmp_path, "mixed", FRAME_CFG.format(path=str(p)),
                       "frame")
         assert code == EXIT_OK
-        assert calls == {"restriction_matrix": 2, "displacement_matrix": 4}
+        assert calls == {"restriction_matrix": 0, "displacement_matrix": 4}
 
     def test_dichotomy_report(self, tmp_path):
         code, out = run(tmp_path, "d", DICHOTOMY_CFG, "dichotomy")

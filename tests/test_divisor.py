@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockdiv.divisor as dv
@@ -491,12 +491,72 @@ class TestTripleDisc:
             grid, abs=0.02 * rmin_sq + 1e-6)
 
 
+def dense_uncovered_radius(divisor, C, window, collar):
+    """Per-shrink oracle of the thinning's uncovered radius: one dense scan
+    of the discs shrunk by C over the window grid minus the collar."""
+    nodes = divisor.radii > C
+    pts = window.grid()
+    pts = pts[window.contains(pts, collar)]
+    if not nodes.any() or pts.size == 0:
+        return None
+    margins = dense_margin_scan(pts, divisor.centers[nodes],
+                                divisor.radii[nodes] - C)
+    uncovered = pts[margins > 0]
+    if uncovered.size == 0:
+        return 0.0
+    r = float(np.abs(uncovered).max())
+    if window.kind == "disc" and r >= window.radius - collar - window.h:
+        return None
+    return r
+
+
 class TestThinning:
     def _big_family(self):
         return radial_rings([4.0, 7.0, 10.0, 13.0, 16.0, 19.0], [25] * 6,
                             counts=[max(1, int(math.ceil(2 * math.pi * r / 2)))
                                     for r in [4, 7, 10, 13, 16, 19]],
                             include_center=True, center_mult=36)
+
+    def test_one_margin_scan_per_node_set(self, monkeypatch):
+        # the scripts/thinning_demo.py divisor: every C and the steps s <= 4
+        # shrink the same 220 heavy nodes {r > C}, s = 5 the centre alone,
+        # and the thinned divisor has the same two sets
+        base = self._big_family()
+        planted = np.array([14.3 * np.exp(0.7j), 17.1 * np.exp(2.1j),
+                            15.6 * np.exp(4.4j)])
+        X = Divisor(np.concatenate([base.centers, planted]),
+                    np.concatenate([base.mults, [1, 1, 1]]))
+        scanned = []
+        scan = dv._margin_scan
+
+        def counted(points, centers, radii):
+            scanned.append(centers.size)
+            return scan(points, centers, radii)
+        monkeypatch.setattr(dv, "_margin_scan", counted)
+        thin = thin_subdivisor(X, Region.disc(23.0, 0.1), [1.0, 2.0, 3.0])
+        assert len(thin) == len(base)
+        assert sorted(scanned) == [1, len(base)]
+
+    @given(case=margin_cases(), collar=st.sampled_from([0.0, 0.6, 2.0]))
+    @example(case=(Divisor(np.array([0j]), np.array([4])),
+                   Region.disc(1.0, 0.5), [1.0]), collar=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_uncovered_radius_matches_dense_oracle(self, case, collar):
+        # shrinks from below zero to past the largest radius, one scan
+        # dictionary shared by all of them as in thin_subdivisor; the
+        # example puts grid points exactly on a shrunk circle, which
+        # counts as covered
+        X, W, shrinks = case
+        pts = W.grid()
+        pts = pts[W.contains(pts, collar)]
+        edge = W.radius - collar - W.h if W.kind == "disc" else math.inf
+        scans = {}
+        for C in shrinks:
+            assert dv._uncovered_radius(X, C, pts, edge, scans) \
+                == dense_uncovered_radius(X, C, W, collar)
+        node_sets = {(X.radii > C).tobytes() for C in shrinks
+                     if (X.radii > C).any()}
+        assert len(scans) == (len(node_sets) if pts.size else 0)
 
     def test_subset_property(self):
         base = self._big_family()

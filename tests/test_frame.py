@@ -2,6 +2,7 @@
 
 import configparser
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -16,12 +17,11 @@ from fockdiv.divisor import (Divisor, Region, lattice, overlap_constant,
                              radial_rings)
 from fockdiv.errors import (NotInterpolatingError, ParameterError,
                             ResourceError, VerificationError)
-from fockdiv.fock import CoefVec, restriction_values
+from fockdiv.fock import CoefVec, coherent_coefficients, restriction_values
 from fockdiv.frame import (RANK_RTOL, FrameReport, frame_bounds,
                            frame_sweep, interpolation_constant,
-                           interpolation_witness, kernel_coefvec,
-                           restriction_matrix, sampling_defect_path,
-                           symmetric_pair_report)
+                           interpolation_witness, restriction_matrix,
+                           sampling_defect_path, symmetric_pair_report)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -222,6 +222,61 @@ class TestFrameSweep:
         assert rep.upper == pytest.approx(3.71101238634, rel=1e-10, abs=0.0)
         assert frame_oracle(X, 60)["lower"] == 0.0
 
+    def test_held_rows_every_cut_tall(self):
+        # every N is below the total multiplicity 14, and the centre's jets
+        # of order 3 to 7 are not live at the smallest N: they are held
+        # until N = 5 and N = 8 (order 8 is never live)
+        X = Divisor(np.array([0j, 1.2 + 0.5j, -0.9 + 1.1j]),
+                    np.array([9, 2, 3]), alpha=1.3)
+        truncations = [8, 3, 5, 3]
+        assert X.total_multiplicity > max(truncations)
+        assert X.mults.max() > min(truncations)
+        assert_sweep_matches_oracle(X, truncations)
+
+    def test_gram_reads_filled_triangle(self):
+        # the Gram holds one triangle; its diagonal alone would give
+        # A = 0.64 and B = 2.29 where R* R has 0.167 and 2.68
+        X = Divisor(np.array([0j, 1.0 + 0.5j, -0.5 + 1.0j]),
+                    np.array([2, 2, 2]))
+        [rep] = frame_sweep(X, [4])
+        want = frame_oracle(X, 4)
+        assert rep.lower == pytest.approx(want["lower"], rel=1e-10, abs=0.0)
+        assert rep.upper == pytest.approx(want["upper"], rel=1e-10, abs=0.0)
+        assert rep.lower < 0.2 and rep.upper > 2.6
+
+    def test_tall_sweep_past_the_restriction_cap(self, monkeypatch):
+        # 169 nodes x N = 40 entries exceed the cap and N^2 does not: the
+        # sweep never stores a tall R, so it runs where R is refused
+        X, truncations = lattice(1.0, 1, 6), [20, 40]
+        want = frame_sweep(X, truncations)
+        monkeypatch.setattr("fockdiv.frame.MAX_ENTRIES", 5_000)
+        with pytest.raises(ResourceError):
+            restriction_matrix(X, 40)
+        assert frame_sweep(X, truncations) == want
+        monkeypatch.undo()
+        assert_sweep_matches_oracle(X, truncations)
+
+    @pytest.mark.parametrize("mults, truncations, cap", [
+        ([1] * 150, [60, 120], 10_000),  # N^2 = 14,400
+        ([200, 1], [10, 100], 15_000),   # N^2 = 10,000 + 90 held x 100
+    ])
+    def test_cap_raises_before_allocating(self, monkeypatch, mults,
+                                          truncations, cap):
+        X = Divisor(np.arange(len(mults)) * (1.0 + 0.5j), np.array(mults))
+        monkeypatch.setattr("fockdiv.frame.MAX_ENTRIES", cap)
+
+        def unreachable(*args):
+            raise AssertionError("rows built past the entry cap")
+        monkeypatch.setattr("fockdiv.frame.displacement_matrix", unreachable)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                frame_sweep(X, truncations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000  # either Gram alone would be 160 KB or more
+
     def test_empty_truncation_list(self):
         X = Divisor(np.array([0j]), np.array([2]))
         assert frame_sweep(X, []) == []
@@ -232,13 +287,22 @@ class TestFrameSweep:
             frame_sweep(X, [5, 0])
 
     def test_sampling_sweep_bounded_memory(self):
-        # R(600) for the 3,000-node lattice is 29 MB complex; one more copy
-        # of it (a conjugate or a per-truncation rebuild) would cross 140 MB
+        # R(600) for the 3,000-node lattice would be 29 MB complex; the
+        # sweep streams its rows into one 6 MB Gram and never stores it
+        # (child peak 113 MB when it did, 88 MB streamed)
         code = ("from fockdiv.divisor import lattice\n"
                 "from fockdiv.frame import frame_sweep\n"
                 "frame_sweep(lattice(1.0, 1, 27, hole_radius=3.0),"
                 " [150, 300, 450, 600])")
-        assert child_peak_rss_mb(code) < 140.0
+        assert child_peak_rss_mb(code) < 105.0
+
+    def test_sweep_memory_flat_in_node_count(self):
+        # 10,140 nodes at N = 300: R would be 49 MB (child peak 121 MB
+        # when it was stored, 77 MB streamed)
+        code = ("from fockdiv.divisor import lattice\n"
+                "from fockdiv.frame import frame_sweep\n"
+                "frame_sweep(lattice(0.7, 1, 35, hole_radius=3.0), [300])")
+        assert child_peak_rss_mb(code) < 95.0
 
 
 def symmetric_pair(a: float, mult: int) -> Divisor:
@@ -401,7 +465,9 @@ class TestWitnessAndPath:
             interpolation_witness(X, 1.0, 20)
 
     def test_kernel_coefvec_normalized(self):
-        v = kernel_coefvec(1.3 - 0.4j, 120, alpha=1.5)
+        # the normalized kernel T_z 1 at weight alpha, as the coefficient
+        # vector of the scaled center sqrt(alpha) z
+        v = CoefVec(coherent_coefficients(math.sqrt(1.5) * (1.3 - 0.4j), 120))
         assert v.norm_sq == pytest.approx(1.0, abs=1e-10)
 
 
