@@ -6,7 +6,7 @@ Usage:
 
 Config is an INI file; every report starts with '#'-prefixed provenance
 lines echoing the effective configuration.  Exit codes: 0 success,
-1 internal error, 2 precondition/hypothesis failure, 3 resource cap.
+1 internal error, 2 malformed config or failed hypothesis, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -34,42 +34,57 @@ def _floats(text: str) -> list[float]:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.replace(";", ",").split(",") if x.strip()]
+    """Comma-separated counts (multiplicities, truncations), each >= 1."""
+    vals = [int(x) for x in text.replace(";", ",").split(",") if x.strip()]
+    if min(vals, default=1) < 1:
+        raise ValueError("every value must be >= 1")
+    return vals
+
+
+def _read(cfg: configparser.ConfigParser, key: str, convert=float,
+          fallback: str | None = None):
+    """convert of the text at key ('section.option'), else of fallback; a
+    missing or unreadable value raises ParameterError naming the key."""
+    text = cfg.get(*key.split("."), fallback=fallback)
+    if text is None:
+        raise ParameterError(f"config needs {key}")
+    try:
+        return convert(text)
+    except (ValueError, KeyError) as exc:
+        raise ParameterError(f"cannot read {key} = {text!r}: {exc}") from None
 
 
 def load_divisor(cfg: configparser.ConfigParser) -> dv.Divisor:
-    sec = cfg["divisor"]
-    alpha = sec.getfloat("alpha", 1.0)
-    source = sec.get("source", "lattice")
+    alpha = _read(cfg, "divisor.alpha", float, "1")
+    source = _read(cfg, "divisor.source", str, "lattice")
     if source == "file":
-        path = sec.get("file")
+        path = _read(cfg, "divisor.file", str)
         if not path or not Path(path).exists():
             raise ParameterError(f"divisor file not found: {path!r}")
         return dv.Divisor.from_csv(path, alpha=alpha)
     if source == "lattice":
-        return dv.lattice(spacing=sec.getfloat("spacing"),
-                          mult=sec.getint("multiplicity"),
-                          extent=sec.getfloat("extent"),
-                          alpha=alpha,
-                          hole_radius=sec.getfloat("hole_radius", 0.0))
+        return dv.lattice(spacing=_read(cfg, "divisor.spacing"),
+                          mult=_read(cfg, "divisor.multiplicity", int),
+                          extent=_read(cfg, "divisor.extent"), alpha=alpha,
+                          hole_radius=_read(cfg, "divisor.hole_radius",
+                                            float, "0"))
     if source == "rings":
-        return dv.radial_rings(_floats(sec.get("ring_radii")),
-                               _ints(sec.get("ring_mults")),
-                               alpha=alpha,
-                               include_center=sec.getboolean(
-                                   "include_center", False),
-                               center_mult=sec.getint("center_mult", 1))
+        return dv.radial_rings(
+            _read(cfg, "divisor.ring_radii", _floats),
+            _read(cfg, "divisor.ring_mults", _ints), alpha=alpha,
+            include_center=_read(cfg, "divisor.include_center",
+                                 lambda t: cfg.BOOLEAN_STATES[t.lower()], "no"),
+            center_mult=_read(cfg, "divisor.center_mult", int, "1"))
     raise ParameterError(f"unknown divisor source {source!r}")
 
 
 def load_window(cfg: configparser.ConfigParser) -> dv.Region:
-    sec = cfg["window"]
-    kind = sec.get("kind", "disc")
-    h = sec.getfloat("h", 0.1)
+    kind = _read(cfg, "window.kind", str, "disc")
+    h = _read(cfg, "window.h", float, "0.1")
     if kind == "disc":
-        return dv.Region.disc(sec.getfloat("radius"), h)
-    return dv.Region.rectangle(sec.getfloat("xmin"), sec.getfloat("xmax"),
-                               sec.getfloat("ymin"), sec.getfloat("ymax"), h)
+        return dv.Region.disc(_read(cfg, "window.radius"), h)
+    return dv.Region.rectangle(*(_read(cfg, f"window.{bound}") for bound in
+                                 ("xmin", "xmax", "ymin", "ymax")), h)
 
 
 def _provenance(cfg: configparser.ConfigParser, command: str) -> str:
@@ -83,7 +98,7 @@ def _provenance(cfg: configparser.ConfigParser, command: str) -> str:
 def cmd_geometry(cfg) -> dict[str, list[str]]:
     X = load_divisor(cfg)
     W = load_window(cfg)
-    margins = _floats(cfg.get("geometry", "margins", fallback="0.0"))
+    margins = _read(cfg, "geometry.margins", _floats, "0.0")
     rows = ["record,C,mode,value,aux1,aux2"]
     s_est = dv.overlap_constant(X, W)
     rows.append(f"overlap_constant,,,{s_est},,")
@@ -105,7 +120,7 @@ def cmd_geometry(cfg) -> dict[str, list[str]]:
 
 def cmd_frame(cfg) -> dict[str, list[str]]:
     X = load_divisor(cfg)
-    truncations = _ints(cfg.get("frame", "truncations", fallback="120"))
+    truncations = _read(cfg, "frame.truncations", _ints, "120")
     frame_rows = ["N,A,B,tail_bound"]
     mx_rows = ["param,MX,N"]
     for report in fr.frame_sweep(X, truncations):
@@ -118,7 +133,7 @@ def cmd_frame(cfg) -> dict[str, list[str]]:
 def cmd_uniqueness(cfg) -> dict[str, list[str]]:
     X = load_divisor(cfg)
     W = load_window(cfg)
-    radii = _floats(cfg.get("uniqueness", "radii", fallback="10,15,20,25,30"))
+    radii = _read(cfg, "uniqueness.radii", _floats, "10,15,20,25,30")
     report = pt.uniqueness_certificate(X, W, radii)
     summary = ["key,value",
                f"verdict,{report.verdict}",
@@ -166,10 +181,9 @@ def dichotomy_sweep(mults, params) -> list[dict]:
 
 
 def cmd_dichotomy(cfg) -> dict[str, list[str]]:
-    sec = cfg["dichotomy"] if cfg.has_section("dichotomy") else {}
-    mults = _ints(sec.get("multiplicities", "4,16,36,64"))
-    params = _floats(sec.get("params",
-                             "0.5,0.6,0.7,0.8,0.9,1.0,1.1,1.2,1.3"))
+    mults = _read(cfg, "dichotomy.multiplicities", _ints, "4,16,36,64")
+    params = _read(cfg, "dichotomy.params", _floats,
+                   "0.5,0.6,0.7,0.8,0.9,1.0,1.1,1.2,1.3")
     if not mults or not params:
         raise ParameterError("dichotomy family is empty")
     rows = dichotomy_sweep(mults, params)

@@ -271,12 +271,6 @@ def _circle_intersections(c1, r1, c2, r2):
     return meets, mid + off, mid - off
 
 
-def overlap_count(divisor: Divisor, z: complex) -> int:
-    """Number of node discs containing z (open discs)."""
-    return int(_count_scan(np.array([complex(z)]), divisor.centers,
-                           divisor.radii)[0])
-
-
 def overlap_constant(divisor: Divisor, window: Region) -> int:
     """Max covering count over the window grid, enriched with centers and
     pairwise circle intersection points (one vectorized pass over the near

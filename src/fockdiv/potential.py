@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, xlogy
+from scipy import integrate  # noqa: F401 (bench/tracer.py patches it)
+from scipy.special import gammaln, spence, xlogy
 
 from .divisor import (Divisor, Region, _count_scan, _near_pairs,
                       disjointness_check)
@@ -332,37 +332,31 @@ class RadialWeight:
         return "\n".join(lines) + "\n"
 
 
-def build_radial_weight(q: float, a: float,
-                        grid_n: int = RADIAL_GRID_N) -> RadialWeight:
+def build_radial_weight(q: float, a: float) -> RadialWeight:
     """Construct y = r^2 + g + h inside radius q + a (r^2 outside) where g
     solves the radial Dirichlet problem Delta g = 4 gamma - 4 b/(pi (q+a)^2)
     with zero boundary values and h carries the log singularity.
 
-    Radial convention: Delta u = u'' + u'/r, so
-    g'(r) = (1/r) int_0^r s (4 gamma(s) - const) ds with the mass integral
-    in closed form; g itself by composite quadrature on the grid."""
+    Radial convention: Delta u = u'' + u'/r, so g'(r) = 4 M(r)/r - const r
+    with M(r) = int_0^r s gamma(s) ds.  Both are in closed form: with
+    c = q + 2a, int_0^r M(s)/s ds = a (log(c/(c - r)) - Li_2(r/c)), and
+    Li_2(x) = spence(1 - x)."""
     if q < 1 or a < 1:
         raise DomainError(f"the construction assumes q, a >= 1, got {q}, {a}")
-    if grid_n < 16:
-        raise ParameterError("grid_n too small")
     edge = q + a
     c = q + 2 * a
     mass = 2 * math.pi * _mass_antiderivative(edge, q, a)
     # (1/r) int_0^r s * (4 b / (pi edge^2)) ds = (2 b / (pi edge^2)) r
     const = 2 * mass / (math.pi * edge * edge)
 
-    inner = np.linspace(edge / grid_n, edge, grid_n)
-    outer = np.linspace(edge, 1.25 * edge, max(grid_n // 8, 8))[1:]
+    inner = np.linspace(edge / RADIAL_GRID_N, edge, RADIAL_GRID_N)
+    outer = np.linspace(edge, 1.25 * edge, RADIAL_GRID_N // 8)[1:]
     grid = np.concatenate([inner, outer])
 
-    def gprime(r):  # 0 < r <= edge
-        return 4 * _mass_antiderivative(r, q, a) / r - const * r
-
-    gp = np.array([gprime(r) for r in inner])
-    # cumulative Simpson integral of g' from the first grid point; g(edge) = 0
-    cum = integrate.cumulative_simpson(gp, x=inner, initial=0.0)
-    g_in = cum - cum[-1]
-    # the missing piece below the first grid point: g' ~ O(r), negligible
+    # g = G - G(edge) with G' = g'; the last grid point is edge
+    g_in = (4 * a * (np.log(c / (c - inner)) - spence(1 - inner / c))
+            - const * inner * inner / 2)
+    g_in -= g_in[-1]
     h_in = q * q * (2 * np.log(inner / edge) + 1 - (inner / edge) ** 2)
     y_in = inner ** 2 + g_in + h_in
     gamma_in = a / (c - inner) ** 2
@@ -373,7 +367,9 @@ def build_radial_weight(q: float, a: float,
     gamma_out = a / (c - np.minimum(outer, c - 1e-9)) ** 2
 
     boundary_value_error = abs(y_in[-1] - edge * edge)
-    inner_deriv = 2 * edge + gprime(edge) + 0.0  # h'(edge) = 0 analytically
+    # y'(edge) = 2 edge + g'(edge), as h'(edge) = 0 analytically
+    inner_deriv = 2 * edge + (4 * _mass_antiderivative(edge, q, a) / edge
+                              - const * edge)
     derivative_mismatch = abs(inner_deriv - 2 * edge)
     # finite limit of y - 2 q^2 log r at the origin
     sing = y_in - 2 * q * q * np.log(inner)

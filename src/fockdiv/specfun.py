@@ -9,7 +9,6 @@ scipy.special, so neither loses digits to 1 - the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
@@ -139,53 +138,3 @@ def phi(m: float, t: float) -> float:
     if t <= 0:
         raise DomainError(f"t must be positive, got {t!r}")
     return t * t / 2.0 - m * math.log(t)
-
-
-@dataclass(frozen=True)
-class TailValue:
-    """One evaluation of the tail pair at (k, x)."""
-
-    k: int
-    x: float
-    sigma: float
-    omega: float
-
-    def __post_init__(self):
-        _check_kx(self.k, self.x)
-        if abs(self.sigma + self.omega - 1.0) > 1e-12:
-            raise VerificationError(
-                f"sigma + omega = {self.sigma + self.omega!r} differs from 1")
-
-    @classmethod
-    def evaluate(cls, k: int, x: float) -> "TailValue":
-        return cls(k=int(k), x=float(x), sigma=sigma(k, x),
-                   omega=omega(k, x))
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """phi_m sampled on a positive radius grid, monotone on each side of
-    sqrt(m)."""
-
-    m: float
-    grid: np.ndarray
-    values: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise DomainError(f"m must be positive, got {self.m!r}")
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ParameterError("grid must be strictly increasing positive radii")
-        object.__setattr__(self, "grid", grid)
-        if self.values is None:
-            object.__setattr__(
-                self, "values", grid ** 2 / 2.0 - self.m * np.log(grid))
-        root = math.sqrt(self.m)
-        vals = self.values
-        left = grid <= root
-        if np.any(np.diff(vals[left]) > 1e-12):
-            raise VerificationError("phi_m fails to decrease left of sqrt(m)")
-        right = grid >= root
-        if np.any(np.diff(vals[right]) < -1e-12):
-            raise VerificationError("phi_m fails to increase right of sqrt(m)")

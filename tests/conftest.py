@@ -214,6 +214,13 @@ def ring_log_oracle(lam: complex, r: float, R: float) -> float:
     return val
 
 
+def report_body(out, name):
+    """A report's lines below its '#' provenance header, joined."""
+    text = (out / name).read_text(encoding="utf-8")
+    return "".join(ln for ln in text.splitlines(keepends=True)
+                   if not ln.startswith("#"))
+
+
 def child_peak_rss_mb(code: str) -> float:
     """Peak resident memory of a fresh interpreter running code.  Read as
     VmHWM, the peak of the child's own address space: on Linux the child's

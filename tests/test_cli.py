@@ -11,6 +11,7 @@ import pytest
 
 import fockdiv.divisor as dv
 import fockdiv.frame as fr
+from conftest import report_body
 from fockdiv.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_RESOURCE,
                          dichotomy_point, dichotomy_sweep, main)
 from fockdiv.divisor import Divisor
@@ -117,13 +118,6 @@ disjoint,0.5,expand,0,0,2.32842712475
 """
 
 
-def report_body(out, name):
-    """A report's lines below its '#' provenance header, joined."""
-    text = (out / name).read_text(encoding="utf-8")
-    return "".join(ln for ln in text.splitlines(keepends=True)
-                   if not ln.startswith("#"))
-
-
 def run_subprocess(tmp_path, cfg_text, code, **env):
     """Run python -c code in a fresh interpreter with the package on the
     path; the code sees the config path as sys.argv[1] and an output
@@ -197,6 +191,35 @@ class TestExitCodes:
                                    f"margins = {margins}")
         code, _ = run(tmp_path, "g", cfg, "geometry")
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("geometry", GEOMETRY_CFG.replace("spacing = 1.5\n", ""),
+         "divisor.spacing"),
+        ("geometry", GEOMETRY_CFG.replace("spacing = 1.5", "spacing = abc"),
+         "divisor.spacing"),
+        ("geometry", GEOMETRY_CFG.replace("radius = 7\n", ""),
+         "window.radius"),
+        ("geometry", GEOMETRY_CFG.replace(
+            "kind = disc\nradius = 7", "kind = rect\nxmin = -7\nxmax = 7"),
+         "window.ymin"),
+        ("geometry", GEOMETRY_CFG.replace(
+            "[window]\nkind = disc\nradius = 7\nh = 0.2\n", ""),
+         "window.radius"),
+        ("frame", GEOMETRY_CFG + "[frame]\ntruncations = 10,x\n",
+         "frame.truncations"),
+        ("dichotomy", DICHOTOMY_CFG.replace("multiplicities = 1,4",
+                                            "multiplicities = -4"),
+         "dichotomy.multiplicities"),
+    ], ids=["no-spacing", "bad-spacing", "no-radius", "rect-no-ymin",
+            "no-window", "bad-truncation", "negative-multiplicity"])
+    def test_malformed_config(self, tmp_path, capsys, command, cfg, key):
+        # inputs from outside the program: exit 2 naming the key, never
+        # the internal-error exit 1
+        code, _ = run(tmp_path, "m", cfg, command)
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert key in err
+        assert "internal error" not in err
 
 
 class TestReports:

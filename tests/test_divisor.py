@@ -17,7 +17,7 @@ from fockdiv.divisor import (Divisor, Region, _circle_intersections,
                              _count_scan, _lens_area,
                              _margin_scan, _worst_overlap, covering_margin,
                              disjointness_check, lattice, overlap_constant,
-                             overlap_count, radial_rings, thin_subdivisor,
+                             radial_rings, thin_subdivisor,
                              triple_disc_witness)
 from fockdiv.errors import (DomainError, ParameterError, PreconditionError,
                             ResourceError)
@@ -172,8 +172,10 @@ class TestRegion:
 class TestOverlap:
     def test_count_single(self):
         X = Divisor(np.array([0j]), np.array([4]))
-        assert overlap_count(X, 1.0) == 1
-        assert overlap_count(X, 3.0) == 0
+        counts = _count_scan(np.array([1.0 + 0j, 3.0 + 0j]), X.centers,
+                             X.radii)
+        assert counts[0] == 1
+        assert counts[1] == 0
 
     def test_constant_two_discs(self):
         X = Divisor(np.array([0j, 1 + 0j]), np.array([1, 1]))

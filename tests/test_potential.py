@@ -278,8 +278,27 @@ class TestRadialWeight:
         sing = w.y[:16] - 2 * 4.0 * np.log(inner)
         assert np.max(np.abs(np.diff(sing))) <= 0.01
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0, 7.0, 10.0])
+    def test_closed_form_matches_quadrature(self, q):
+        # g against adaptive quadrature of g'(r) = 4 M(r)/r - const r from
+        # the glue radius, M(r) = int_0^r s a/(c - s)^2 ds with c = q + 2a
+        for a in [1.0, 2.0, 4.0, 7.0, 10.0]:
+            w = build_radial_weight(q, a)
+            edge, c = q + a, q + 2 * a
+            const = 2 * w.mass / (math.pi * edge * edge)
+
+            def gprime(r):
+                m = a * (c / (c - r) + math.log1p(-r / c) - 1.0)
+                return 4 * m / r - const * r
+
+            for i in np.linspace(0, pt.RADIAL_GRID_N - 1, 9).astype(int):
+                r = float(w.grid[i])
+                ref, _ = integrate.quad(gprime, edge, r, epsabs=1e-14,
+                                        epsrel=1e-13)
+                assert abs(w.g[i] - ref) <= 1e-13 * edge * edge
+
     def test_csv_header(self):
-        w = build_radial_weight(1.0, 1.0, grid_n=64)
+        w = build_radial_weight(1.0, 1.0)
         assert w.csv().splitlines()[0] == \
             "r,gamma,g,h,y,laplacian_lhs,laplacian_rhs"
 

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from fockdiv.errors import (DomainError, ParameterError, VerificationError)
-from fockdiv.specfun import (RadialProfile, TailValue, find_tail_ratio_t,
-                             omega, phi, sigma, verify_tail_lower_a,
-                             verify_tail_lower_b)
+from fockdiv.errors import DomainError, ParameterError
+from fockdiv.specfun import (find_tail_ratio_t, omega, phi, sigma,
+                             verify_tail_lower_a, verify_tail_lower_b)
 
 
 class TestOmega:
@@ -125,21 +124,16 @@ class TestMpmathOracle:
 
 class TestTailValue:
     def test_evaluate_consistent(self):
-        tv = TailValue.evaluate(12, 9.0)
-        assert tv.sigma + tv.omega == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_broken_pair(self):
-        with pytest.raises(VerificationError):
-            TailValue(k=1, x=1.0, sigma=0.4, omega=0.7)
+        total = sigma(12, 9.0) + omega(12, 9.0)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("k,x", [(0, 50.0), (10, 200.0)])
     def test_evaluate_resolves_tiny_omega(self, k, x):
         # omega is 1.93e-22 at (0, 50) and 3.1e-71 at (10, 200): 1 - sigma
         # rounds both to 0
-        tv = TailValue.evaluate(k, x)
         with mp.workdps(40):
             upper = float(mp.gammainc(k + 1, x, mp.inf, regularized=True))
-        assert tv.omega == pytest.approx(upper, rel=1e-12, abs=0.0)
+        assert omega(k, x) == pytest.approx(upper, rel=1e-12, abs=0.0)
 
 
 class TestLowerBoundVerifiers:
@@ -226,9 +220,9 @@ class TestRadialProfile:
             assert phi(m, root - a) >= base + a * a - 1e-9
 
     def test_grid_monotone_validation(self):
-        grid = np.linspace(0.5, 6.0, 200)
-        RadialProfile(m=9.0, grid=grid)  # no error
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ParameterError):
-            RadialProfile(m=4.0, grid=np.array([2.0, 1.0]))
+        # phi_m decreases left of sqrt(m) and increases right of it
+        m, grid = 9.0, np.linspace(0.5, 6.0, 200)
+        vals = np.array([phi(m, t) for t in grid])
+        root = math.sqrt(m)
+        assert np.all(np.diff(vals[grid <= root]) <= 1e-12)
+        assert np.all(np.diff(vals[grid >= root]) >= -1e-12)
