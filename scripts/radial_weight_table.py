@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build the radial weight y_{q,a} over a parameter grid and tabulate its
-certified quantities: boundary glue error, one-sided derivative mismatch,
-total mass against its closed-form cap, and the worst Laplacian slack.
+certified quantities: total mass against its closed-form cap and the worst
+Laplacian slack.
 
 Writes radial_weights.csv plus one profile CSV per (q, a) pair.
 """
@@ -23,8 +23,7 @@ def main():
     args = ap.parse_args()
 
     vals = [float(x) for x in args.params.split(",")]
-    rows = ["q,a,boundary_error,deriv_mismatch,mass,mass_bound,"
-            "min_laplacian_slack"]
+    rows = ["q,a,mass,mass_bound,min_laplacian_slack"]
     args.out.mkdir(parents=True, exist_ok=True)
     for q in vals:
         for a in vals:
@@ -32,9 +31,8 @@ def main():
             inner = w.grid <= q + a
             slack = float(np.min(w.laplacian_lhs[inner]
                                  - w.laplacian_rhs[inner]))
-            rows.append(f"{q:g},{a:g},{w.boundary_value_error:.3g},"
-                        f"{w.derivative_mismatch:.3g},{w.mass:.6g},"
-                        f"{w.mass_bound:.6g},{slack:.6g}")
+            rows.append(f"{q:g},{a:g},{w.mass:.6g},{w.mass_bound:.6g},"
+                        f"{slack:.6g}")
             print(rows[-1])
             if args.profiles:
                 (args.out / f"radial_weight_q{q:g}_a{a:g}.csv").write_text(

@@ -83,8 +83,10 @@ def load_window(cfg: configparser.ConfigParser) -> dv.Region:
     h = _read(cfg, "window.h", float, "0.1")
     if kind == "disc":
         return dv.Region.disc(_read(cfg, "window.radius"), h)
-    return dv.Region.rectangle(*(_read(cfg, f"window.{bound}") for bound in
-                                 ("xmin", "xmax", "ymin", "ymax")), h)
+    if kind == "rect":
+        return dv.Region.rectangle(*(_read(cfg, f"window.{bound}") for bound
+                                     in ("xmin", "xmax", "ymin", "ymax")), h)
+    raise ParameterError(f"unknown window.kind {kind!r} (disc or rect)")
 
 
 def _provenance(cfg: configparser.ConfigParser, command: str) -> str:
@@ -111,7 +113,7 @@ def cmd_geometry(cfg) -> dict[str, list[str]]:
             wz, margin = entry
             rows.append(f"covering,{C:g},{mode},{margin:.12g},"
                         f"{wz.real:.12g},{wz.imag:.12g}")
-        ok, worst = dv.disjointness_check(X, C, expand=True)
+        ok, worst = dv.disjointness_check(X, C)
         rows.append(f"disjoint,{C:g},expand,{int(ok)},"
                     f"{'' if worst[0] is None else worst[0]},"
                     f"{worst[2]:.12g}")

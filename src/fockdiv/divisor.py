@@ -325,17 +325,12 @@ def covering_margin(divisor: Divisor, C, window: Region):
     return rows if margins.ndim else rows[0]
 
 
-def disjointness_check(divisor: Divisor, C: float, expand: bool = True
-                       ) -> tuple[bool, tuple]:
-    """Pairwise disjointness of the discs with radii +- C (tangency counts
+def disjointness_check(divisor: Divisor, C: float) -> tuple[bool, tuple]:
+    """Pairwise disjointness of the discs with radii + C (tangency counts
     as disjoint).  Returns (ok, (i, j, violation)) for the worst pair."""
     if not math.isfinite(C):
         raise ParameterError(f"margin C must be finite, got {C!r}")
-    radii = divisor.radii
-    if expand:
-        return _worst_overlap(divisor.centers, radii + C)
-    eligible = radii > C
-    return _worst_overlap(divisor.centers[eligible], radii[eligible] - C)
+    return _worst_overlap(divisor.centers, divisor.radii + C)
 
 
 def _worst_overlap(centers: np.ndarray, rho: np.ndarray

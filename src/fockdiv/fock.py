@@ -165,14 +165,13 @@ def disc_local_norm_sq(f: CoefVec, center: complex, radius: float) -> float:
     return float(np.sum(np.abs(b) ** 2 * weights))
 
 
-def local_concentration_check(f: CoefVec, m: int, eta: float,
-                              a_step: float = 0.1,
-                              k_max: int = 200) -> tuple[bool, float]:
+def local_concentration_check(f: CoefVec, m: int, eta: float
+                              ) -> tuple[bool, float]:
     """Check the local-concentration mechanism: if the first m squared
     coefficients carry at most eta/2 and the disc D(sqrt(m)) carries at
     most 1, a slightly smaller disc carries at most eta.
 
-    Scans the smallest shrink a on a grid achieving the eta bound and
+    Scans the smallest shrink a on a 0.1 grid achieving the eta bound and
     reports whether the uniform a(eta) predicted by the tail-ratio search
     suffices.  Returns (passes, a_used)."""
     if not (0.0 < eta <= 1.0):
@@ -187,11 +186,11 @@ def local_concentration_check(f: CoefVec, m: int, eta: float,
         raise ParameterError("disc norm on D(sqrt(m)) exceeds 1")
     # The tail-ratio search guarantees sigma_k(m - a sqrt(m)) <=
     # 2 epsilon sigma_k(m); eta/4 leaves room for that factor of 2.
-    a_pred = find_tail_ratio_t(eta / 4, k_max=min(k_max, max(10, 2 * m)))
+    a_pred = find_tail_ratio_t(eta / 4, k_max=min(200, max(10, 2 * m)))
     root = math.sqrt(m)
     a = 0.0
     while a < root:
         if disc_local_norm_sq(f, 0.0, root - a) <= eta:
             return a <= a_pred + 1e-12, a
-        a += a_step
+        a += 0.1
     return False, float("nan")

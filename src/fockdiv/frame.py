@@ -28,22 +28,6 @@ ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
-class RestrictionMatrix:
-    """Stacked restriction functionals: row (node, k) holds
-    (<e_j, T_center e_k>)_j, so applying the matrix to a coefficient vector
-    yields the jet data (<f, T_center e_k>).  Rows run over the nodes in
-    input order, k ascending; orders holds each row's jet order k."""
-
-    matrix: np.ndarray
-    orders: np.ndarray
-    tail_bound: float
-
-    @property
-    def nrows(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class FrameReport:
     """Frame bounds and interpolation constant of the truncated restriction
     matrix R.  lower (A) is an upper estimate of the true lower frame
@@ -67,18 +51,14 @@ class FrameReport:
                 f"{self.tail_bound:.6g}")
 
 
-def _scaled_centers(divisor: Divisor) -> np.ndarray:
-    # Internal weight normalization: center z at weight alpha behaves like
-    # sqrt(alpha) z at weight 1, multiplicities unchanged.
-    return math.sqrt(divisor.alpha) * divisor.centers
-
-
 def _row_blocks(divisor: Divisor, truncation: int):
     """R's rows at this truncation as (row indices, jet orders, rows), one
     block of at most ROW_BLOCK rows (or one node's) per displacement_matrix
     call: a node of multiplicity m takes the conjugated first
     min(m, truncation) columns of its displacement matrix."""
-    centers = _scaled_centers(divisor)
+    # Internal weight normalization: center z at weight alpha behaves like
+    # sqrt(alpha) z at weight 1, multiplicities unchanged.
+    centers = math.sqrt(divisor.alpha) * divisor.centers
     mults = divisor.mults
     first_row = np.cumsum(mults) - mults
     for m in np.unique(mults):
@@ -93,10 +73,13 @@ def _row_blocks(divisor: Divisor, truncation: int):
                    d.conj().swapaxes(1, 2).reshape(-1, truncation))
 
 
-def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
-    """The (sum of multiplicities) x truncation restriction matrix: the
-    row blocks frame_sweep streams, stacked.  Jets of order >= truncation
-    cannot be represented and keep zero rows."""
+def restriction_matrix(divisor: Divisor, truncation: int) -> np.ndarray:
+    """The (sum of multiplicities) x truncation restriction matrix, the
+    row blocks frame_sweep streams, stacked: row (node, k) holds
+    (<e_j, T_center e_k>)_j, so applying it to a coefficient vector yields
+    the jet data (<f, T_center e_k>).  Rows run over the nodes in input
+    order, k ascending.  Jets of order >= truncation cannot be represented
+    and keep zero rows."""
     if truncation < 1:
         raise ParameterError(f"truncation must be positive, got {truncation}")
     total = divisor.total_multiplicity
@@ -104,13 +87,10 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> RestrictionMatrix:
         raise ResourceError(
             f"restriction matrix would hold {total * truncation} entries "
             f"(cap {MAX_ENTRIES})")
-    mults = divisor.mults
-    rows, tail = np.zeros((total, truncation), dtype=complex), 0.0
+    rows = np.zeros((total, truncation), dtype=complex)
     for index, _, block in _row_blocks(divisor, truncation):
         rows[index] = block
-        tail = max(tail, _tail(_row_mass(block, [truncation])))
-    orders = np.arange(total) - np.repeat(np.cumsum(mults) - mults, mults)
-    return RestrictionMatrix(matrix=rows, orders=orders, tail_bound=tail)
+    return rows
 
 
 def _row_mass(rows: np.ndarray, cuts: list[int]) -> np.ndarray:
@@ -126,6 +106,29 @@ def _tail(mass: np.ndarray) -> float:
     return min(1.0, float(np.max(1.0 - mass, initial=0.0)))
 
 
+def _svd_report(truncation: int, blocks, square: bool, tail: float
+                ) -> FrameReport:
+    """Report of R = sqrt(K) Q blockdiag(blocks) Pi, K = len(blocks), with
+    Q unitary and Pi a column permutation: one SVD per block gives B = K
+    max sigma_max^2, A = K min sigma_min^2 (0 unless R is square) and M_X^2
+    = max_i sum_blocks (|U|^2 / S^2)_i / K^2, i.e. max_i (R R*)^{-1}_{ii}.
+    One rank test flags both: if sigma_min <= RANK_RTOL sigma_max, then
+    A = 0 and M_X = inf."""
+    k = len(blocks)
+    # QR-iteration SVD: divide and conquer (gesdd) fails to converge on
+    # some of the near-singular square R of the dichotomy family
+    svds = [linalg.svd(b, full_matrices=False, lapack_driver="gesvd")[:2]
+            for b in blocks]
+    smax, smin = max(s[0] for _, s in svds), min(s[-1] for _, s in svds)
+    lower, mx = 0.0, math.inf
+    if smin > RANK_RTOL * smax:
+        if square:
+            lower = k * float(smin) ** 2
+        mx = math.sqrt(sum((np.abs(u) ** 2 / s ** 2).sum(axis=1)
+                           for u, s in svds).max() / k ** 2)
+    return FrameReport(truncation, lower, k * float(smax) ** 2, tail, mx)
+
+
 def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     """A, B and M_X at each truncation N, one report per N in input order,
     from one pass over the row blocks of the restriction matrix R at the
@@ -139,9 +142,7 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     Each row enters it once, when it becomes live (k < N): at once, or
     held until the ascending walk over the N reaches it; A <= N eps B,
     below eigvalsh's resolution, reads 0.  Otherwise R, at most N x N, is
-    stored and one SVD of R(N) gives B = sigma_max^2, A = sigma_min^2 (0
-    for wide R) and M_X^2 = max_i (R R*)^{-1}_{ii}.  One rank test flags
-    both: if sigma_min <= RANK_RTOL sigma_max, then A = 0 and M_X = inf.
+    stored and R(N) goes to _svd_report as one block.
     Memory: N^2 entries and the held rows, whatever the node count."""
     truncations = [int(n) for n in truncations]
     if len(divisor) == 0 or not truncations:
@@ -177,32 +178,20 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
         held.append((orders[late], block[late, :width]))
     reports, prev = {}, first
     for n, loss_n in zip(cuts, loss):
-        lower, mx = 0.0, math.inf
-        if n in tall:
-            for orders, part in held:
-                enter(part[(orders >= prev) & (orders < n)])
-            prev = n
-            # scipy's, on zherk's OpenBLAS: numpy's wheel has its own, and
-            # its idle threads slowed each eigensolve 3x on two cores
-            vals = linalg.eigvalsh(gram[:n, :n], driver="evd")
-            upper = float(vals[-1])
-            if vals[0] > n * np.finfo(float).eps * upper:
-                lower = float(vals[0])
-        else:
-            # total multiplicity <= N, so no row is cut.  QR-iteration SVD:
-            # divide and conquer (gesdd) fails to converge on some of the
-            # near-singular square R of the dichotomy family
-            u, svals, _ = linalg.svd(rows[:, :n], full_matrices=False,
-                                     lapack_driver="gesvd")
-            upper = float(svals[0] ** 2)
-            if svals[-1] > RANK_RTOL * svals[0]:
-                if total == n:
-                    lower = float(svals[-1] ** 2)
-                gram_inv_diag = (np.abs(u) ** 2
-                                 / svals[None, :] ** 2).sum(axis=1)
-                mx = math.sqrt(gram_inv_diag.max())
-        reports[n] = FrameReport(truncation=n, lower=lower, upper=upper,
-                                 tail_bound=min(1.0, float(loss_n)), mx=mx)
+        tail = min(1.0, float(loss_n))
+        if n not in tall:  # total multiplicity <= N, so no row is cut
+            reports[n] = _svd_report(n, [rows[:, :n]], total == n, tail)
+            continue
+        for orders, part in held:
+            enter(part[(orders >= prev) & (orders < n)])
+        prev = n
+        # scipy's, on zherk's OpenBLAS: numpy's wheel has its own, and its
+        # idle threads slowed each eigensolve 3x on two cores
+        vals = linalg.eigvalsh(gram[:n, :n], driver="evd")
+        upper = float(vals[-1])
+        lower = float(vals[0]) if vals[0] > n * np.finfo(float).eps * upper \
+            else 0.0
+        reports[n] = FrameReport(n, lower, upper, tail)
     return [reports[n] for n in truncations]
 
 
@@ -217,25 +206,16 @@ def symmetric_pair_report(a: float, mult: int, truncation: int
     """frame_bounds of the nodes -a and +a (a > 0, weight 1), each of
     multiplicity m = mult, at N = truncation >= 2m.  The -a rows are
     (-1)^(j+k) times the real +a rows, so R = sqrt(2) Q blockdiag(E, O) Pi
-    (Q orthogonal, Pi a column permutation; E, O the even and odd columns
-    of the +a rows): two real m x N/2 SVDs, not one complex 2m x N.
-    B = 2 max sigma_max^2, A = 2 min sigma_min^2 (0 for wide R) and M_X^2
-    = max_k ((E E*)^{-1}_kk + (O O*)^{-1}_kk) / 4; rank rule and tail as
-    in frame_sweep."""
+    (Q orthogonal; E, O the even and odd columns of the +a rows): two real
+    m x N/2 SVDs in _svd_report, not one complex 2m x N.  Tail as in
+    frame_sweep."""
     if not 0 < a < math.inf or truncation < 2 * mult:
         raise ParameterError(f"symmetric pair needs a > 0, truncation >= "
                              f"2 mult; got {a}, {mult}, {truncation}")
     rows = displacement_matrix(a, truncation, mult).real.T
-    svds = [linalg.svd(rows[:, parity::2], full_matrices=False,
-                       lapack_driver="gesvd")[:2] for parity in (0, 1)]
-    smax, smin = max(s[0] for _, s in svds), min(s[-1] for _, s in svds)
-    lower, mx = 0.0, math.inf
-    if smin > RANK_RTOL * smax:
-        lower = 2 * smin ** 2 if truncation == 2 * mult else 0.0
-        mx = math.sqrt(sum((u ** 2 / s ** 2).sum(axis=1)
-                           for u, s in svds).max() / 4)
-    return FrameReport(truncation, float(lower), 2 * float(smax) ** 2,
-                       _tail((rows ** 2).sum(axis=1)), mx)
+    return _svd_report(truncation, [rows[:, 0::2], rows[:, 1::2]],
+                       truncation == 2 * mult,
+                       _tail((rows ** 2).sum(axis=1)))
 
 
 def interpolation_constant(divisor: Divisor, truncation: int) -> float:
@@ -284,7 +264,7 @@ def interpolation_witness(divisor: Divisor, w: complex, truncation: int
         raise ParameterError(f"second node's multiplicity {m1} exceeds "
                              f"truncation {truncation}")
     rows = restriction_matrix(divisor.subset(np.arange(len(divisor)) < 2),
-                              truncation).matrix
+                              truncation)
     kernel = coherent_coefficients(math.sqrt(divisor.alpha) * complex(w),
                                    truncation)
     rhs = np.zeros(m0 + m1, dtype=complex)

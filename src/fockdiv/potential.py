@@ -229,15 +229,15 @@ class LaplacianReport:
                 and self.max_dev_outside <= self.tol)
 
 
-def verify_psi_laplacian(divisor: Divisor, window: Region,
-                         tol_scale: float = 60.0) -> LaplacianReport:
+def verify_psi_laplacian(divisor: Divisor, window: Region
+                         ) -> LaplacianReport:
     """Five-point stencil check of the distributional identities for
     psi = alpha |z|^2 + v: Laplacian 0 inside each disc off the center
     (the point mass lives at the center only) and 4 alpha outside all
     discs.  Points near centers, disc boundaries, or the window edge are
     excluded (the stencil is invalid across the C^1 interface)."""
     h = window.h
-    tol = tol_scale * h * h
+    tol = 60.0 * h * h
     if tol > 0.5:
         raise ParameterError(
             f"resolution too coarse: stencil error bound {tol:.3g} > 0.5")
@@ -245,9 +245,9 @@ def verify_psi_laplacian(divisor: Divisor, window: Region,
     flat = zs.ravel()
     # The log singularity at each center has fourth derivative of order
     # m / d^4, so the stencil error near a center is ~ 8 m h^2 / d^4.
-    # Excluding d <= (8 m / tol_scale)^{1/4} (h-independent) keeps that
-    # error below the quoted tolerance.
-    eps = np.maximum(10.0 * h, (8.0 * divisor.mults / tol_scale) ** 0.25)
+    # Excluding d <= (8 m / 60)^{1/4} (h-independent) keeps that error
+    # below the quoted tolerance 60 h^2.
+    eps = np.maximum(10.0 * h, (8.0 * divisor.mults / 60.0) ** 0.25)
     # Every node-wise term and mask below is decided within this reach.
     reach = max(divisor.radii.max(initial=0.0) + 2 * h, eps.max(initial=0.0))
     pi, ni = _near_pairs(flat, divisor.centers, reach)
@@ -316,8 +316,6 @@ class RadialWeight:
     laplacian_lhs: np.ndarray
     laplacian_rhs: np.ndarray
     mass: float
-    boundary_value_error: float
-    derivative_mismatch: float
     origin_limit: float
 
     @property
@@ -366,11 +364,6 @@ def build_radial_weight(q: float, a: float) -> RadialWeight:
 
     gamma_out = a / (c - np.minimum(outer, c - 1e-9)) ** 2
 
-    boundary_value_error = abs(y_in[-1] - edge * edge)
-    # y'(edge) = 2 edge + g'(edge), as h'(edge) = 0 analytically
-    inner_deriv = 2 * edge + (4 * _mass_antiderivative(edge, q, a) / edge
-                              - const * edge)
-    derivative_mismatch = abs(inner_deriv - 2 * edge)
     # finite limit of y - 2 q^2 log r at the origin
     sing = y_in - 2 * q * q * np.log(inner)
     origin_limit = float(sing[0])
@@ -387,8 +380,6 @@ def build_radial_weight(q: float, a: float) -> RadialWeight:
         laplacian_lhs=np.concatenate([lap_in, np.full(outer.size, 4.0)]),
         laplacian_rhs=np.concatenate([rhs_in, np.zeros(outer.size)]),
         mass=mass,
-        boundary_value_error=float(boundary_value_error),
-        derivative_mismatch=float(derivative_mismatch),
         origin_limit=origin_limit,
     )
 
@@ -418,7 +409,7 @@ def cutoff_interpolant_field(divisor: Divisor, payloads, z: complex,
         raise ParameterError(f"margin must be positive, got {margin!r}")
     if abs(divisor.alpha - 1.0) > 1e-12:
         raise ParameterError("cut-off field assumes alpha = 1; rescale first")
-    ok, worst = disjointness_check(divisor, margin, expand=True)
+    ok, worst = disjointness_check(divisor, margin)
     if not ok:
         raise PreconditionError(
             f"expanded discs overlap: pair {worst[:2]} by {worst[2]:.3g}")

@@ -15,7 +15,7 @@ from scipy.special import gammainc, gammaincc
 
 from .errors import DomainError, ParameterError, VerificationError
 
-# Default resolution of the grid verifiers.
+# Step of the t grid in find_tail_ratio_t.
 T_STEP = 0.05
 
 
@@ -93,7 +93,7 @@ def verify_tail_lower_b(t: float, k_max: int) -> float:
     return eps
 
 
-def find_tail_ratio_t(epsilon: float, k_max: int, t_step: float = T_STEP) -> float:
+def find_tail_ratio_t(epsilon: float, k_max: int) -> float:
     """Smallest grid t making the shifted integrand dominate:
     (y - t sqrt(y))^k e^{-(y - t sqrt(y))} <= epsilon * y^k e^{-y} for every
     pair t^2 <= y <= k, checked on the integer grid up to k_max together
@@ -109,10 +109,10 @@ def find_tail_ratio_t(epsilon: float, k_max: int, t_step: float = T_STEP) -> flo
     log_eps = math.log(epsilon)
     t_pred = math.sqrt(-2.0 * log_eps) if epsilon < 1.0 else 0.0
     cap = 2.0 * t_pred
-    n_steps = int(math.floor(cap / t_step)) + 1
+    n_steps = int(math.floor(cap / T_STEP)) + 1
     ys_all = np.arange(1, k_max + 1, dtype=float)
     for i in range(n_steps + 1):
-        t = i * t_step
+        t = i * T_STEP
         # The inequality must hold for every y >= t^2; its log ratio at
         # (y, k) is t sqrt(y) + k log(1 - t/sqrt(y)).  The log factor is
         # <= 0, so the worst k is the smallest admissible one, k = y, and

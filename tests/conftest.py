@@ -214,6 +214,18 @@ def ring_log_oracle(lam: complex, r: float, R: float) -> float:
     return val
 
 
+def radial_glue_errors(w) -> tuple[float, float]:
+    """Relative C^1 glue errors of a radial weight at r = q + a, read from
+    its inner grid: |y - r^2| / r^2, and the second-order one-sided slope
+    (3 y_{-1} - 4 y_{-2} + y_{-3}) / (r_{-1} - r_{-3}) against 2 r, over
+    r.  Outside, y = r^2 has value r^2 and slope 2 r."""
+    edge = w.q + w.a
+    inner = w.grid <= edge
+    r, y = w.grid[inner], w.y[inner]
+    slope = (3 * y[-1] - 4 * y[-2] + y[-3]) / (r[-1] - r[-3])
+    return abs(y[-1] - edge ** 2) / edge ** 2, abs(slope - 2 * edge) / edge
+
+
 def report_body(out, name):
     """A report's lines below its '#' provenance header, joined."""
     text = (out / name).read_text(encoding="utf-8")

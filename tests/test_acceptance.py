@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import displacement_oracle, random_divisor
+from conftest import (displacement_oracle, radial_glue_errors,
+                      random_divisor)
 from fockdiv.cli import dichotomy_sweep
 from fockdiv.divisor import (Divisor, Region, covering_margin, lattice,
                              radial_rings, thin_subdivisor)
@@ -149,10 +150,9 @@ def test_11_radial_weight():
     for q in [1.0, 2.0, 4.0, 7.0, 10.0]:
         for a in [1.0, 2.0, 4.0, 7.0, 10.0]:
             w = build_radial_weight(q, a)
-            edge = q + a
-            inner = w.grid <= edge
-            ok &= w.boundary_value_error <= 1e-8 * edge * edge
-            ok &= w.derivative_mismatch <= 1e-6
+            inner = w.grid <= q + a
+            value_error, slope_error = radial_glue_errors(w)
+            ok &= value_error <= 1e-12 and slope_error <= 1e-4
             ok &= w.mass <= w.mass_bound + 1e-9
             ok &= bool(np.all(w.laplacian_lhs[inner]
                               >= w.laplacian_rhs[inner] - 1e-6))

@@ -117,6 +117,25 @@ covering,0.5,shrink,2.03621013601,-0.05,-0.05
 disjoint,0.5,expand,0,0,2.32842712475
 """
 
+# dichotomy.csv at multiplicities 1,4,9 and params 0.6,0.8,1.0,1.2, as
+# written when the dichotomy split its own SVDs from the frame sweep's:
+# (multiplicity, param, N, A, M_X).  These lie within 1.1e-11 of an
+# mp.inverse at 60 digits, so rel 1e-9 does not depend on the BLAS build.
+PINNED_DICHOTOMY = [
+    (1, "0.6", 2, 0.502326954771, 1.16348614201),
+    (1, "0.8", 2, 0.674934302775, 1.10224002073),
+    (1, "1", 2, 0.735758882343, 1.1658219908),
+    (1, "1.2", 2, 0.473855517364, 1.3371363598),
+    (4, "0.6", 8, 0.0216748690442, 2.95348849459),
+    (4, "0.8", 8, 0.15306108008, 2.11836528097),
+    (4, "1", 8, 0.0144462023299, 4.84906806492),
+    (4, "1.2", 8, 0.00053792451054, 21.4940424322),
+    (9, "0.6", 18, 8.49805323672e-06, 123.740131769),
+    (9, "0.8", 18, 0.00088633865466, 18.8197440219),
+    (9, "1", 18, 1.75008191944e-06, 342.204004674),
+    (9, "1.2", 18, 6.41322870175e-10, 16517.9661932),
+]
+
 
 def run_subprocess(tmp_path, cfg_text, code, **env):
     """Run python -c code in a fresh interpreter with the package on the
@@ -205,13 +224,16 @@ class TestExitCodes:
         ("geometry", GEOMETRY_CFG.replace(
             "[window]\nkind = disc\nradius = 7\nh = 0.2\n", ""),
          "window.radius"),
+        ("geometry", GEOMETRY_CFG.replace("kind = disc", "kind = disk"),
+         "window.kind 'disk'"),
         ("frame", GEOMETRY_CFG + "[frame]\ntruncations = 10,x\n",
          "frame.truncations"),
         ("dichotomy", DICHOTOMY_CFG.replace("multiplicities = 1,4",
                                             "multiplicities = -4"),
          "dichotomy.multiplicities"),
     ], ids=["no-spacing", "bad-spacing", "no-radius", "rect-no-ymin",
-            "no-window", "bad-truncation", "negative-multiplicity"])
+            "no-window", "unknown-window-kind", "bad-truncation",
+            "negative-multiplicity"])
     def test_malformed_config(self, tmp_path, capsys, command, cfg, key):
         # inputs from outside the program: exit 2 naming the key, never
         # the internal-error exit 1
@@ -355,6 +377,20 @@ class TestReports:
         data = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert data[0] == "multiplicity,param,N,A,MX,inv_A,max_metric"
         assert len(data) == 5
+
+    def test_dichotomy_values_pinned(self, tmp_path):
+        cfg = ("[dichotomy]\nmultiplicities = 1,4,9\n"
+               "params = 0.6,0.8,1.0,1.2\n")
+        code, out = run(tmp_path, "d", cfg, "dichotomy")
+        assert code == EXIT_OK
+        data = report_body(out, "dichotomy.csv").splitlines()[1:]
+        assert len(data) == len(PINNED_DICHOTOMY)
+        for line, (mult, param, n, lower, mx) in zip(data,
+                                                      PINNED_DICHOTOMY):
+            row = line.split(",")
+            assert row[:3] == [str(mult), param, str(n)]
+            assert float(row[3]) == pytest.approx(lower, rel=1e-9, abs=0.0)
+            assert float(row[4]) == pytest.approx(mx, rel=1e-9, abs=0.0)
 
     def test_determinism_byte_identical(self, tmp_path):
         _, out1 = run(tmp_path, "run1", GEOMETRY_CFG, "geometry")

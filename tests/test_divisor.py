@@ -303,10 +303,8 @@ class TestNeighbourScans:
         rng = np.random.default_rng(seed)
         X = random_divisor(rng, max_nodes=12, max_mult=9, scale=scale)
         r = X.radii
-        assert disjointness_check(X, C, expand=True) == \
+        assert disjointness_check(X, C) == \
             dense_disjointness_check(X.centers, r + C)
-        assert disjointness_check(X, C, expand=False) == \
-            dense_disjointness_check(X.centers[r > C], r[r > C] - C)
 
     def test_overlap_constant_lattice(self):
         X = lattice(1.5, 2, 6.0, hole_radius=2.0)
@@ -410,9 +408,8 @@ class TestCoveringAndDisjointness:
         for C in (bad, [0.0, bad]):
             with pytest.raises(ParameterError):
                 covering_margin(X, C, W)
-        for expand in (True, False):
-            with pytest.raises(ParameterError):
-                disjointness_check(X, bad, expand=expand)
+        with pytest.raises(ParameterError):
+            disjointness_check(X, bad)
 
     def test_disjointness(self):
         X = Divisor(np.array([0j, 5 + 0j]), np.array([1, 1]))

@@ -18,8 +18,8 @@ from fockdiv.divisor import (Divisor, Region, lattice, overlap_constant,
 from fockdiv.errors import (NotInterpolatingError, ParameterError,
                             ResourceError, VerificationError)
 from fockdiv.fock import CoefVec, coherent_coefficients, restriction_values
-from fockdiv.frame import (RANK_RTOL, FrameReport, frame_bounds,
-                           frame_sweep, interpolation_constant,
+from fockdiv.frame import (RANK_RTOL, FrameReport, _row_blocks,
+                           frame_bounds, frame_sweep, interpolation_constant,
                            interpolation_witness, restriction_matrix,
                            sampling_defect_path, symmetric_pair_report)
 
@@ -32,7 +32,7 @@ class TestRestrictionMatrix:
         n = 40
         rmat = restriction_matrix(X, n)
         f = CoefVec(rng.normal(size=n) + 1j * rng.normal(size=n))
-        data = rmat.matrix @ f.coeffs
+        data = rmat @ f.coeffs
         pos = 0
         for c, m in zip(X.centers, X.mults):
             vals = restriction_values(f, complex(c), int(m))
@@ -46,18 +46,20 @@ class TestRestrictionMatrix:
                                        alpha=2.0), 30)
         b = restriction_matrix(Divisor(np.array([math.sqrt(2.0) * z]),
                                        np.array([3])), 30)
-        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
+        assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_row_orders(self):
         X = Divisor(np.array([0j, 2 + 0j]), np.array([2, 1]))
-        rmat = restriction_matrix(X, 10)
-        assert rmat.orders.tolist() == [0, 1, 0]
+        orders = np.full(3, -1)
+        for index, order, _ in _row_blocks(X, 10):
+            orders[index] = order
+        assert orders.tolist() == [0, 1, 0]
 
     def test_overfull_pads(self):
         X = Divisor(np.array([0j]), np.array([5]))
         rmat = restriction_matrix(X, 3)
-        assert rmat.nrows == 5
-        assert np.all(rmat.matrix[3:] == 0)
+        assert rmat.shape[0] == 5
+        assert np.all(rmat[3:] == 0)
 
     def test_resource_cap(self):
         X = Divisor(np.array([0j]), np.array([100_000]))
@@ -82,10 +84,10 @@ class TestFrameBounds:
         X = random_divisor(rng, max_nodes=4, max_mult=5)
         n = 60
         rmat = restriction_matrix(X, n)
-        svals = np.linalg.svd(rmat.matrix, compute_uv=False)
+        svals = np.linalg.svd(rmat, compute_uv=False)
         rep = frame_bounds(X, n)
         assert rep.upper == pytest.approx(float(svals[0] ** 2), rel=1e-9)
-        lo = float(svals[-1] ** 2) if rmat.nrows >= n else 0.0
+        lo = float(svals[-1] ** 2) if rmat.shape[0] >= n else 0.0
         assert rep.lower == pytest.approx(lo, abs=1e-9)
 
     def test_upper_bounded_by_overlap_heuristic(self):
@@ -101,8 +103,7 @@ class TestFrameBounds:
         # shift-invert iteration on it
         X = Divisor(np.array([0j, 3 + 0j]), np.array([3, 3]))
         n = 2001
-        smax = np.linalg.svd(restriction_matrix(X, n).matrix,
-                             compute_uv=False)[0]
+        smax = np.linalg.svd(restriction_matrix(X, n), compute_uv=False)[0]
         rep = frame_bounds(X, n)
         assert rep.lower == 0.0
         assert rep.upper == pytest.approx(float(smax ** 2), rel=1e-12,
@@ -117,7 +118,7 @@ class TestFrameBounds:
         r = math.sqrt(mult)
         X = Divisor(np.array([-param * r + 0j, param * r + 0j]),
                     np.array([mult, mult]))
-        rmat = restriction_matrix(X, 2 * mult).matrix
+        rmat = restriction_matrix(X, 2 * mult)
         with mp.workdps(80):
             inv = mp.inverse(mp.matrix(rmat.tolist()))
             inv = np.array(inv.tolist(), dtype=complex)
@@ -187,8 +188,6 @@ def assert_sweep_matches_oracle(X, truncations):
         assert rep.upper == pytest.approx(want["upper"], rel=1e-10, abs=0.0)
         assert rep.mx == pytest.approx(want["mx"], rel=1e-10, abs=0.0)
         assert abs(rep.tail_bound - want["tail_bound"]) <= 1e-15
-        assert abs(restriction_matrix(X, rep.truncation).tail_bound
-                   - want["tail_bound"]) <= 1e-15
 
 
 class TestFrameSweep:
@@ -329,7 +328,7 @@ class TestSymmetricPair:
         a, n = param * math.sqrt(mult), 2 * mult + extra
         X = symmetric_pair(a, mult)
         rep, want = symmetric_pair_report(a, mult, n), frame_bounds(X, n)
-        svals = linalg.svd(restriction_matrix(X, n).matrix, compute_uv=False,
+        svals = linalg.svd(restriction_matrix(X, n), compute_uv=False,
                            lapack_driver="gesvd")
         ratio = svals[-1] / svals[0]
         assert rep.truncation == n
@@ -362,7 +361,7 @@ class TestSymmetricPair:
         # rounding of the -a rows' phases e^{-i pi k}, so its real part is
         # inverted (about a third of the complex time)
         a, n = param * math.sqrt(mult), 2 * mult
-        rows = restriction_matrix(symmetric_pair(a, mult), n).matrix
+        rows = restriction_matrix(symmetric_pair(a, mult), n)
         with mp.workdps(80):
             inv = mp.inverse(mp.matrix(rows.real.tolist()))
             inv = np.array(inv.tolist(), dtype=float)

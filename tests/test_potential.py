@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import fockdiv.potential as pt
-from conftest import child_peak_rss_mb, ring_log_oracle
+from conftest import (child_peak_rss_mb, radial_glue_errors,
+                      ring_log_oracle)
 from fockdiv.divisor import Divisor, Region, lattice
 from fockdiv.errors import (DomainError, ParameterError, PreconditionError,
                              VerificationError)
@@ -244,8 +245,9 @@ class TestRadialWeight:
     @pytest.mark.parametrize("q,a", [(1, 1), (2, 4), (7, 2), (10, 10)])
     def test_glue_conditions(self, q, a):
         w = build_radial_weight(float(q), float(a))
-        assert w.boundary_value_error <= 1e-6 * (q + a) ** 2
-        assert w.derivative_mismatch <= 1e-9
+        value_error, slope_error = radial_glue_errors(w)
+        assert value_error <= 1e-12
+        assert slope_error <= 1e-4
         assert math.isfinite(w.origin_limit)
 
     @pytest.mark.parametrize("q,a", [(1, 1), (2, 4), (7, 2), (10, 10)])
