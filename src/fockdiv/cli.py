@@ -215,11 +215,15 @@ def main(argv=None) -> int:
     if not Path(args.config).exists():
         print(f"fockdiv: config not found: {args.config}", file=sys.stderr)
         return EXIT_PRECONDITION
-    cfg.read(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = _provenance(cfg, args.command)
     try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        print(f"fockdiv: --out {args.out} is not a directory", file=sys.stderr)
+        return EXIT_PRECONDITION
+    try:
+        cfg.read(args.config)
+        header = _provenance(cfg, args.command)
         # each study returns its reports as CSV rows, keyed by file name
         for name, rows in _COMMANDS[args.command](cfg).items():
             (out / name).write_text(header + "\n".join(rows) + "\n",

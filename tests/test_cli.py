@@ -231,9 +231,17 @@ class TestExitCodes:
         ("dichotomy", DICHOTOMY_CFG.replace("multiplicities = 1,4",
                                             "multiplicities = -4"),
          "dichotomy.multiplicities"),
+        ("dichotomy", DICHOTOMY_CFG.replace("[dichotomy]\n", ""),
+         "no section headers"),
+        ("geometry", GEOMETRY_CFG + "[window]\nradius = 8\n",
+         "section 'window' already exists"),
+        ("geometry", GEOMETRY_CFG.replace("spacing = 1.5",
+                                          "spacing = 1.5\nspacing = 2"),
+         "option 'spacing' in section 'divisor' already exists"),
     ], ids=["no-spacing", "bad-spacing", "no-radius", "rect-no-ymin",
             "no-window", "unknown-window-kind", "bad-truncation",
-            "negative-multiplicity"])
+            "negative-multiplicity", "no-section-header",
+            "duplicate-section", "duplicate-option"])
     def test_malformed_config(self, tmp_path, capsys, command, cfg, key):
         # inputs from outside the program: exit 2 naming the key, never
         # the internal-error exit 1
@@ -242,6 +250,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert key in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_out_not_a_directory(self, tmp_path, capsys, sub):
+        cfg = tmp_path / "d.ini"
+        cfg.write_text(DICHOTOMY_CFG, encoding="utf-8")
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = str(taken / sub)
+        code = main(["dichotomy", "--config", str(cfg), "--out", out])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err \
+            == f"fockdiv: --out {out} is not a directory\n"
 
 
 class TestReports:
@@ -473,3 +493,23 @@ class TestDichotomyFamily:
         proc = run_subprocess(tmp_path, cfg, code)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("config",
+                             sorted((ROOT / "configs").glob("*.ini")),
+                             ids=lambda path: path.stem)
+    def test_studies_never_load_integrate(self, tmp_path, config):
+        # potential.integrate is there for the bench tracer only: neither
+        # importing the CLI nor running a shipped study may load
+        # scipy.integrate, or the scipy.optimize it imports
+        code = ("import sys; from fockdiv.cli import main;"
+                " names = ('scipy.integrate', 'scipy.optimize');"
+                " print([m for m in names if m in sys.modules]);"
+                f" rc = main(['{config.stem}', '--config', sys.argv[1],"
+                " '--out', sys.argv[2]]);"
+                " print([m for m in names if m in sys.modules]); sys.exit(rc)")
+        proc = run_subprocess(tmp_path, config.read_text(encoding="utf-8"),
+                              code)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.split() == ["[]", "[]"]

@@ -183,6 +183,13 @@ class TestUniquenessCertificate:
         assert math.isfinite(report.quad_error)
         assert 0.0 <= report.quad_error <= pt.RULE_RTOL
 
+    def test_integrate_hook(self):
+        # bench/tracer.py wraps pt.integrate.quad; the name resolves on
+        # demand and hides no other missing attribute
+        assert pt.integrate is integrate
+        assert callable(pt.integrate.quad)
+        assert not hasattr(pt, "no_such_name")
+
 
 class TestWeightV:
     def test_zero_outside_discs(self):
