@@ -212,8 +212,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)
     cfg = configparser.ConfigParser()
-    if not Path(args.config).exists():
-        print(f"fockdiv: config not found: {args.config}", file=sys.stderr)
+    if not Path(args.config).is_file():
+        print(f"fockdiv: config is not a file: {args.config}", file=sys.stderr)
         return EXIT_PRECONDITION
     out = Path(args.out)
     try:
@@ -222,14 +222,14 @@ def main(argv=None) -> int:
         print(f"fockdiv: --out {args.out} is not a directory", file=sys.stderr)
         return EXIT_PRECONDITION
     try:
-        cfg.read(args.config)
+        cfg.read(args.config, encoding="utf-8")
         header = _provenance(cfg, args.command)
         # each study returns its reports as CSV rows, keyed by file name
         for name, rows in _COMMANDS[args.command](cfg).items():
             (out / name).write_text(header + "\n".join(rows) + "\n",
                                     encoding="utf-8")
     except (PreconditionError, ParameterError, DomainError,
-            configparser.Error) as exc:
+            configparser.Error, UnicodeDecodeError) as exc:
         print(f"fockdiv: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ResourceError as exc:

@@ -52,22 +52,32 @@ class CoefVec:
         return cls(c)
 
 
-def coherent_coefficients(z, n: int) -> np.ndarray:
-    """Coefficients of T_z 1: conj(z)^k e^{-|z|^2/2} / sqrt(k!), in the log
-    domain so large |z| does not overflow.  z is one center (result shape
-    (n,)) or an array of them (one row of n coefficients per center)."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-    z = np.asarray(z, dtype=complex)[..., None]
-    r = np.abs(z)
-    k = np.arange(n)
+def _phase(z: np.ndarray, n: int) -> np.ndarray:
+    """e^{-ik arg z}, k < n, per center from n/32 + 32 exponentials: the
+    product of e^{-i(k mod 32) arg z} and e^{-i 32 floor(k/32) arg z}."""
+    angle = -1j * np.angle(z)[..., None, None]
+    return (np.exp(angle * np.arange(0, n, 32)[:, None])
+            * np.exp(angle * np.arange(32))).reshape(*z.shape, -1)[..., :n]
+
+
+def _modulus(z: np.ndarray, n: int) -> np.ndarray:
+    """|z|^k e^{-|z|^2/2} / sqrt(k!) for k < n, one row per center, in the
+    log domain so large |z| does not overflow."""
+    r, k = np.abs(z)[..., None], np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         # z = 0 leaves e_0 alone: k log|z| is 0 at k = 0, -inf beyond
-        log_pow = np.where(r > 0, k * np.log(r),
-                           np.where(k > 0, -np.inf, 0.0))
-    log_mod = log_pow - 0.5 * gammaln(k + 1) - 0.5 * r ** 2
-    phase = np.exp(-1j * k * np.angle(z))
-    return np.exp(log_mod) * phase
+        log_pow = np.where(k > 0, k * np.log(r), 0.0)
+    return np.exp(log_pow - 0.5 * gammaln(k + 1) - 0.5 * r ** 2)
+
+
+def coherent_coefficients(z, n: int) -> np.ndarray:
+    """Coefficients of T_z 1: conj(z)^k e^{-|z|^2/2} / sqrt(k!), _modulus
+    times _phase.  z is one center (result shape (n,)) or an array of them
+    (one row of n coefficients per center)."""
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
+    z = np.asarray(z, dtype=complex)
+    return _modulus(z, n) * _phase(z, n)
 
 
 def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
@@ -90,9 +100,9 @@ def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
     ncols = n if ncols is None else int(ncols)
     if not 1 <= ncols <= n:
         raise ParameterError(f"ncols must lie in [1, {n}], got {ncols}")
-    first = coherent_coefficients(z, n)
+    modulus, phase = _modulus(z, n), _phase(z, n)
     if ncols == 1:
-        return first[..., None]
+        return (modulus * phase)[..., None]
     x = np.abs(z)[..., None] ** 2
     real = np.zeros((*z.shape, n, ncols))
     # f[d] = D[j + d, j](r) and step[d] = f[d] - D[j - 1 + d, j - 1](r).
@@ -100,7 +110,7 @@ def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
     # recurrence reads s_{j+1} step' = (u_j + u_{j+1} - x) f + s_j step:
     # no cancellation near the double root at small r^2, where the plain
     # form loses ~ j^2 ulps.
-    f = step = np.abs(first)
+    f = step = modulus
     real[..., 0] = f
     root = np.sqrt(np.arange(n + 1))
     for j in range(ncols - 1):
@@ -113,7 +123,6 @@ def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
         real[..., j + 1:, j + 1] = f
     lo, hi = np.triu_indices(ncols, 1)
     real[..., lo, hi] = (1 - 2 * ((hi - lo) % 2)) * real[..., hi, lo]
-    phase = np.exp(-1j * np.angle(z)[..., None] * np.arange(n))
     return real * phase[..., :, None] * phase[..., None, :ncols].conj()
 
 

@@ -52,10 +52,10 @@ class FrameReport:
 
 
 def _row_blocks(divisor: Divisor, truncation: int):
-    """R's rows at this truncation as (row indices, jet orders, rows), one
-    block of at most ROW_BLOCK rows (or one node's) per displacement_matrix
-    call: a node of multiplicity m takes the conjugated first
-    min(m, truncation) columns of its displacement matrix."""
+    """(row indices, jet orders, conj(R) on those rows), one block of at
+    most ROW_BLOCK rows (or one node's) per displacement_matrix call: a
+    node of multiplicity m gives the first min(m, truncation) columns of
+    its displacement matrix, unconjugated, as its rows."""
     # Internal weight normalization: center z at weight alpha behaves like
     # sqrt(alpha) z at weight 1, multiplicities unchanged.
     centers = math.sqrt(divisor.alpha) * divisor.centers
@@ -70,7 +70,7 @@ def _row_blocks(divisor: Divisor, truncation: int):
             d = displacement_matrix(centers[block], truncation, width)
             yield ((first_row[block, None] + np.arange(width)).ravel(),
                    np.tile(np.arange(width), block.size),
-                   d.conj().swapaxes(1, 2).reshape(-1, truncation))
+                   d.swapaxes(1, 2).reshape(-1, truncation))
 
 
 def restriction_matrix(divisor: Divisor, truncation: int) -> np.ndarray:
@@ -89,7 +89,7 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> np.ndarray:
             f"(cap {MAX_ENTRIES})")
     rows = np.zeros((total, truncation), dtype=complex)
     for index, _, block in _row_blocks(divisor, truncation):
-        rows[index] = block
+        rows[index] = block.conj()
     return rows
 
 
@@ -142,7 +142,7 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     Each row enters it once, when it becomes live (k < N): at once, or
     held until the ascending walk over the N reaches it; A <= N eps B,
     below eigvalsh's resolution, reads 0.  Otherwise R, at most N x N, is
-    stored and R(N) goes to _svd_report as one block.
+    stored, conjugated, and R(N) goes to _svd_report as one block.
     Memory: N^2 entries and the held rows, whatever the node count."""
     truncations = [int(n) for n in truncations]
     if len(divisor) == 0 or not truncations:
@@ -163,19 +163,20 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     gram = np.zeros((width, width), dtype=complex, order="F")
     held, loss = [], np.zeros(len(cuts))  # held: (orders, rows) pairs
 
-    def enter(part):  # gram += part* part in place, lower triangle
+    def enter(part):  # gram += part^T conj(part) in place, lower triangle
         if width:
-            linalg.blas.zherk(1.0, part.conj().T, beta=1.0, c=gram,
-                              lower=1, overwrite_c=1)
+            linalg.blas.zherk(1.0, part.T, beta=1.0, c=gram, lower=1,
+                              overwrite_c=1)
     for index, orders, block in _row_blocks(divisor, top):
         if rows is not None:
-            rows[index] = block
+            rows[index] = block.conj()
         loss = np.maximum(loss, np.where(
             orders[:, None] < np.array(cuts),
             1.0 - _row_mass(block, cuts), 0.0).max(axis=0))
         enter(block[orders < first, :width])
         late = (orders >= first) & (orders < width)
         held.append((orders[late], block[late, :width]))
+    del block  # up to ROW_BLOCK rows the eigensolves do not need
     reports, prev = {}, first
     for n, loss_n in zip(cuts, loss):
         tail = min(1.0, float(loss_n))

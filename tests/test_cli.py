@@ -164,6 +164,17 @@ class TestExitCodes:
         assert main(["frame", "--config", str(tmp_path / "nope.ini")]) \
             == EXIT_PRECONDITION
 
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        # configparser skips what it cannot open: without the check the
+        # study ran its built-in defaults on an empty config
+        out = tmp_path / "out"
+        code = main(["dichotomy", "--config", str(tmp_path), "--out",
+                     str(out)])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err \
+            == f"fockdiv: config is not a file: {tmp_path}\n"
+        assert not out.exists()
+
     def test_missing_divisor_file(self, tmp_path):
         code, _ = run(tmp_path, "f", FRAME_CFG.format(path="/nonexistent.csv"),
                       "frame")
@@ -238,14 +249,20 @@ class TestExitCodes:
         ("geometry", GEOMETRY_CFG.replace("spacing = 1.5",
                                           "spacing = 1.5\nspacing = 2"),
          "option 'spacing' in section 'divisor' already exists"),
+        ("dichotomy", DICHOTOMY_CFG.replace("0.6", "0.6\xff"),
+         "'utf-8' codec can't decode byte 0xff"),
     ], ids=["no-spacing", "bad-spacing", "no-radius", "rect-no-ymin",
             "no-window", "unknown-window-kind", "bad-truncation",
             "negative-multiplicity", "no-section-header",
-            "duplicate-section", "duplicate-option"])
+            "duplicate-section", "duplicate-option", "not-utf-8"])
     def test_malformed_config(self, tmp_path, capsys, command, cfg, key):
         # inputs from outside the program: exit 2 naming the key, never
-        # the internal-error exit 1
-        code, _ = run(tmp_path, "m", cfg, command)
+        # the internal-error exit 1.  Latin-1 writes each character as one
+        # byte, so "\xff" lands in the file as the byte 0xff.
+        path = tmp_path / "m.ini"
+        path.write_bytes(cfg.encode("latin-1"))
+        code = main([command, "--config", str(path), "--out",
+                     str(tmp_path / "m")])
         assert code == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert key in err

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,26 @@ class TestCoherent:
         c = coherent_coefficients(20 + 0j, 600)
         assert np.all(np.isfinite(c))
         assert np.sum(np.abs(c) ** 2) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("z", [20 * np.exp(2.5j), 3 - 4j, -7 + 0.1j,
+                                   -5 - 1e-12j],
+                             ids=["r20", "3-4j", "-7+0.1j", "branch-cut"])
+    def test_matches_mpmath(self, z):
+        # the phase e^{-ik arg z} is a product of two table entries; up to
+        # k = 599, near the branch cut too, every entry that is not lost
+        # to underflow keeps 12 digits against a 30-digit reference
+        n = 600
+        c = coherent_coefficients(z, n)
+        with mp.workdps(30):
+            w = mp.conj(mp.mpc(z.real, z.imag))
+            term = mp.exp(-abs(w) ** 2 / 2)
+            checked = 0
+            for k in range(n):
+                if abs(term) > 1e-280:
+                    assert abs(c[k] - term) <= 1e-12 * abs(term), k
+                    checked += 1
+                term *= w / mp.sqrt(k + 1)
+        assert checked > n // 2
 
 
 class TestDisplacementMatrix:
@@ -138,6 +159,16 @@ class TestDisplacementMatrix:
         stacked = np.array([[displacement_matrix(z, n, ncols) for z in row]
                             for row in zs])
         assert np.array_equal(d, stacked)
+
+    @pytest.mark.parametrize("z", [
+        -5 - 1e-12j,
+        np.array([[0j, 1.3, -0.4 + 2.2j], [20 * np.exp(2.5j), -3j, -2.0]])],
+        ids=["scalar", "array"])
+    @pytest.mark.parametrize("ncols", [1, 7])
+    def test_first_column_is_coherent_vector(self, z, ncols):
+        # both take their phases from the same table, bit for bit
+        d = displacement_matrix(z, 50, ncols)
+        assert np.array_equal(d[..., 0], coherent_coefficients(z, 50))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ParameterError):

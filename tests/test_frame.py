@@ -55,6 +55,17 @@ class TestRestrictionMatrix:
             orders[index] = order
         assert orders.tolist() == [0, 1, 0]
 
+    def test_stacks_conjugated_row_blocks(self):
+        # the blocks carry conj(R) for the Gram; R itself is their stack,
+        # conjugated once
+        X = Divisor(np.array([0j, 1.1 - 0.7j, -1.3 + 0.4j, 2j]),
+                    np.array([1, 4, 2, 1]), alpha=1.5)
+        n = 12
+        stacked = np.zeros((X.total_multiplicity, n), dtype=complex)
+        for index, _, block in _row_blocks(X, n):
+            stacked[index] = block.conj()
+        assert np.array_equal(restriction_matrix(X, n), stacked)
+
     def test_overfull_pads(self):
         X = Divisor(np.array([0j]), np.array([5]))
         rmat = restriction_matrix(X, 3)
@@ -275,6 +286,24 @@ class TestFrameSweep:
         finally:
             tracemalloc.stop()
         assert peak < 16_000  # either Gram alone would be 160 KB or more
+
+    def test_holed_lattice_pinned(self):
+        # 600 nodes, tall R at every N; (A, B, tail_bound) as the sweep
+        # gave them with one complex exponential per phase entry
+        X = lattice(1.0, 1, 12, hole_radius=3.0)
+        pinned = {
+            60: (0.0004822871102853966, 3.1943528123743206, 1.0),
+            120: (0.000482287023749371, 3.2092257199493965, 1.0),
+            180: (0.0004822870237479535, 3.2115151007629508,
+                  0.9999999999966696),
+            240: (4.0772991080092704e-07, 3.2117284903781216,
+                  0.9983279304601232)}
+        for rep in frame_sweep(X, list(pinned)):
+            lower, upper, tail = pinned[rep.truncation]
+            assert rep.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
+            assert rep.tail_bound == pytest.approx(tail, rel=1e-12, abs=0.0)
+            assert abs(rep.lower - lower) <= 1e-12 * upper
+            assert math.isinf(rep.mx)
 
     def test_empty_truncation_list(self):
         X = Divisor(np.array([0j]), np.array([2]))
