@@ -293,17 +293,17 @@ def overlap_constant(divisor: Divisor, window: Region) -> int:
     return int(_count_scan(all_pts, centers, radii).max())
 
 
-def covering_margin(divisor: Divisor, C, window: Region):
-    """Worst covering margins over the window, for one margin C (a result)
-    or a sequence of them (a list).  A result is (expand, shrink), each a
-    (worst point, margin) with margin max_z min_node (|z - center| - rho),
+def covering_margin(divisor: Divisor, margins, window: Region) -> list:
+    """Worst covering margins over the window, one result per margin C in
+    the sequence margins.  A result is (expand, shrink), each a (worst
+    point, margin) with margin max_z min_node (|z - center| - rho),
     rho = radius + C (expand) or radius - C over the nodes with radius > C
     (shrink; None when no radius exceeds C).  margin <= 0 means covered.
     A common shift of the radii shifts the margin back, so one scan of
     rho = radius per distinct node set serves every C and both modes."""
-    margins = np.asarray(C, dtype=float)
-    if not np.all(np.isfinite(margins)):
-        raise ParameterError(f"margin C must be finite, got {C!r}")
+    margins = [float(c) for c in margins]
+    if not all(map(math.isfinite, margins)):
+        raise ParameterError(f"margin C must be finite, got {margins!r}")
     pts = window.grid()
     if pts.size == 0:
         raise ParameterError("window grid is empty")
@@ -320,9 +320,8 @@ def covering_margin(divisor: Divisor, C, window: Region):
         wz, m = worst[key]
         return wz, m + shift
 
-    rows = [(entry(np.ones(radii.size, bool), -c), entry(radii > c, c))
-            for c in margins.ravel().tolist()]
-    return rows if margins.ndim else rows[0]
+    return [(entry(np.ones(radii.size, bool), -c), entry(radii > c, c))
+            for c in margins]
 
 
 def disjointness_check(divisor: Divisor, C: float) -> tuple[bool, tuple]:
@@ -377,31 +376,24 @@ def _lens_area(d: float, r1: float, r2: float) -> float:
             + r2 * r2 * (a2 - math.sin(2 * a2) / 2))
 
 
-def _common_point(discs) -> complex | None:
-    """A point of the triple intersection, or None."""
-    from scipy.optimize import minimize
-
-    centers = np.array([complex(c) for c, _ in discs])
+def _discs_meet(discs) -> bool:
+    """Whether three closed discs (center, radius) share a point.  Their
+    common part, when nonempty, is a whole disc (holding its center), has
+    a corner where two circles cross inside the third, or is the touching
+    point of a tangent pair, the middle c_i + (d + r_i - r_j)/2 (c_j - c_i)/d
+    of the pair's overlap along the line of centers.  So it holds one of
+    these candidates, up to the 1e-12 tolerance."""
+    centers = np.array([c for c, _ in discs])
     radii = np.array([r for _, r in discs])
-
-    def depth(xy):
-        z = complex(xy[0], xy[1])
-        return float(np.max(np.abs(z - centers) - radii))
-
-    start = centers.mean()
-    best = minimize(depth, [start.real, start.imag], method="Nelder-Mead",
-                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-    if best.fun < -1e-12:
-        return complex(best.x[0], best.x[1])
-    # Enrich with pairwise circle intersections before giving up.
     i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
     _, p, q = _circle_intersections(centers[i], radii[i], centers[j], radii[j])
-    for z in np.column_stack((p, q)).ravel().tolist():
-        if depth([z.real, z.imag]) < 1e-12:
-            return z
-    if best.fun <= 1e-12:
-        return complex(best.x[0], best.x[1])
-    return None
+    d = np.abs(centers[j] - centers[i])
+    i, j, d = i[d > 0], j[d > 0], d[d > 0]
+    touch = centers[i] + ((d + radii[i] - radii[j]) / 2
+                          * (centers[j] - centers[i]) / d)
+    z = np.concatenate([centers, p, q, touch])
+    depth = (np.abs(z[:, None] - centers) - radii).max(axis=1)
+    return float(depth.min()) <= 1e-12
 
 
 def triple_disc_witness(d1, d2, d3) -> tuple[tuple[int, int], float, float]:
@@ -416,7 +408,7 @@ def triple_disc_witness(d1, d2, d3) -> tuple[tuple[int, int], float, float]:
     for _, r in discs:
         if r <= 0:
             raise DomainError("disc radii must be positive")
-    if _common_point(discs) is None:
+    if not _discs_meet(discs):
         raise PreconditionError("the three discs have empty common intersection")
     best = None
     for i in range(3):

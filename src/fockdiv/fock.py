@@ -181,7 +181,7 @@ def local_concentration_check(f: CoefVec, m: int, eta: float
     most 1, a slightly smaller disc carries at most eta.
 
     Scans the smallest shrink a on a 0.1 grid achieving the eta bound and
-    reports whether the uniform a(eta) predicted by the tail-ratio search
+    reports whether the uniform a(eta) given by the tail-ratio shift
     suffices.  Returns (passes, a_used)."""
     if not (0.0 < eta <= 1.0):
         raise DomainError(f"eta must lie in (0, 1], got {eta!r}")
@@ -193,9 +193,9 @@ def local_concentration_check(f: CoefVec, m: int, eta: float
             f"first {m} squared coefficients carry {head:.3g} > eta/2")
     if disc_local_norm_sq(f, 0.0, math.sqrt(m)) > 1.0 + 1e-9:
         raise ParameterError("disc norm on D(sqrt(m)) exceeds 1")
-    # The tail-ratio search guarantees sigma_k(m - a sqrt(m)) <=
+    # The tail-ratio shift guarantees sigma_k(m - a sqrt(m)) <=
     # 2 epsilon sigma_k(m); eta/4 leaves room for that factor of 2.
-    a_pred = find_tail_ratio_t(eta / 4, k_max=min(200, max(10, 2 * m)))
+    a_pred = find_tail_ratio_t(eta / 4)
     root = math.sqrt(m)
     a = 0.0
     while a < root:

@@ -106,12 +106,12 @@ def _tail(mass: np.ndarray) -> float:
     return min(1.0, float(np.max(1.0 - mass, initial=0.0)))
 
 
-def _svd_report(truncation: int, blocks, square: bool, tail: float
-                ) -> FrameReport:
+def _svd_report(truncation: int, blocks, tail: float) -> FrameReport:
     """Report of R = sqrt(K) Q blockdiag(blocks) Pi, K = len(blocks), with
     Q unitary and Pi a column permutation: one SVD per block gives B = K
-    max sigma_max^2, A = K min sigma_min^2 (0 unless R is square) and M_X^2
-    = max_i sum_blocks (|U|^2 / S^2)_i / K^2, i.e. max_i (R R*)^{-1}_{ii}.
+    max sigma_max^2, A = K min sigma_min^2 (0 unless R is square, i.e.
+    every block is) and M_X^2 = max_i sum_blocks (|U|^2 / S^2)_i / K^2,
+    i.e. max_i (R R*)^{-1}_{ii}.
     One rank test flags both: if sigma_min <= RANK_RTOL sigma_max, then
     A = 0 and M_X = inf."""
     k = len(blocks)
@@ -122,7 +122,7 @@ def _svd_report(truncation: int, blocks, square: bool, tail: float
     smax, smin = max(s[0] for _, s in svds), min(s[-1] for _, s in svds)
     lower, mx = 0.0, math.inf
     if smin > RANK_RTOL * smax:
-        if square:
+        if all(b.shape[0] == b.shape[1] for b in blocks):
             lower = k * float(smin) ** 2
         mx = math.sqrt(sum((np.abs(u) ** 2 / s ** 2).sum(axis=1)
                            for u, s in svds).max() / k ** 2)
@@ -145,12 +145,13 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     stored, conjugated, and R(N) goes to _svd_report as one block.
     Memory: N^2 entries and the held rows, whatever the node count."""
     truncations = [int(n) for n in truncations]
+    if min(truncations, default=1) < 1:
+        raise ParameterError(
+            f"truncation must be positive, got {min(truncations)}")
     if len(divisor) == 0 or not truncations:
         return [FrameReport(truncation=n, lower=0.0, upper=0.0,
                             tail_bound=0.0) for n in truncations]
     cuts = sorted(set(truncations))
-    if cuts[0] < 1:
-        raise ParameterError(f"truncation must be positive, got {cuts[0]}")
     top, total = cuts[-1], divisor.total_multiplicity
     tall = [n for n in cuts if total > n]
     first, width = (tall[0], tall[-1]) if tall else (0, 0)
@@ -181,7 +182,7 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     for n, loss_n in zip(cuts, loss):
         tail = min(1.0, float(loss_n))
         if n not in tall:  # total multiplicity <= N, so no row is cut
-            reports[n] = _svd_report(n, [rows[:, :n]], total == n, tail)
+            reports[n] = _svd_report(n, [rows[:, :n]], tail)
             continue
         for orders, part in held:
             enter(part[(orders >= prev) & (orders < n)])
@@ -215,7 +216,6 @@ def symmetric_pair_report(a: float, mult: int, truncation: int
                              f"2 mult; got {a}, {mult}, {truncation}")
     rows = displacement_matrix(a, truncation, mult).real.T
     return _svd_report(truncation, [rows[:, 0::2], rows[:, 1::2]],
-                       truncation == 2 * mult,
                        _tail((rows ** 2).sum(axis=1)))
 
 

@@ -58,9 +58,12 @@ def _anti(s: np.ndarray, R: float) -> np.ndarray:
     return s * s / 4 - xlogy(s * s / 2, s / R)
 
 
-def _redistribution(divisor: Divisor, R: float) -> tuple[float, float]:
-    """I(R) by the 64-node polar rule and its relative distance from the
-    32-node rule, which must not exceed RULE_RTOL."""
+def redistribution_integral(divisor: Divisor, R: float
+                            ) -> tuple[float, float]:
+    """I(R) = sum over nodes of int_{D(center, radius) cap D(R)}
+    log(R/|z|) dm, the radial growth functional of the redistributed mass,
+    by the 64-node polar rule, and its relative distance from the 32-node
+    rule, which must not exceed RULE_RTOL."""
     if not R > 0:
         raise DomainError(f"R must be positive, got {R!r}")
     d, r = np.abs(divisor.centers), divisor.radii
@@ -98,12 +101,6 @@ def _redistribution(divisor: Divisor, R: float) -> tuple[float, float]:
             f"I({R:g}) = {fine:.6g}: the 64- and 32-node polar rules differ"
             f" by {error:.3g} relative")
     return fine, error
-
-
-def redistribution_integral(divisor: Divisor, R: float) -> float:
-    """I(R) = sum over nodes of int_{D(center, radius) cap D(R)}
-    log(R/|z|) dm, the radial growth functional of the redistributed mass."""
-    return _redistribution(divisor, R)[0]
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,7 @@ def uniqueness_certificate(divisor: Divisor, window: Region, r_list
             "multiply covered set too small inside the window; "
             "cannot anchor the certificate")
     R0 = float(multi_radii[n_need - 1])
-    values, errors = np.array([_redistribution(divisor, r)
+    values, errors = np.array([redistribution_integral(divisor, r)
                                for r in r_list]).T
     curve = RedistributionCurve(np.array(r_list), values)
     half = len(r_list) // 2

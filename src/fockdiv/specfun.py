@@ -93,42 +93,23 @@ def verify_tail_lower_b(t: float, k_max: int) -> float:
     return eps
 
 
-def find_tail_ratio_t(epsilon: float, k_max: int) -> float:
+def find_tail_ratio_t(epsilon: float) -> float:
     """Smallest grid t making the shifted integrand dominate:
     (y - t sqrt(y))^k e^{-(y - t sqrt(y))} <= epsilon * y^k e^{-y} for every
-    pair t^2 <= y <= k, checked on the integer grid up to k_max together
-    with the closed-form large-y limit.  Integrating yields
+    pair t^2 <= y <= k.  Integrating yields
     sigma_k(m - t sqrt(m)) <= 2 epsilon sigma_k(m).
 
-    The comparison argument predicts t = sqrt(2 log(1/epsilon)) suffices
-    (and is sharp for large k); anything beyond twice that cap flags a bug."""
+    The log ratio at (y, k) is t sqrt(y) + k log(1 - t/sqrt(y)); its log
+    factor is <= 0, so the worst k is k = y, where the series
+    t sqrt(y) + y log(1 - t/sqrt(y)) = -t^2/2 - sum_{n>=3} t^n y^{1-n/2}/n
+    lies below its large-y limit -t^2/2.  So t is the smallest multiple of
+    T_STEP with -t^2/2 <= log(epsilon), close to sqrt(2 log(1/epsilon))."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if k_max < 10:
-        raise ParameterError(f"k_max must be at least 10, got {k_max}")
-    log_eps = math.log(epsilon)
-    t_pred = math.sqrt(-2.0 * log_eps) if epsilon < 1.0 else 0.0
-    cap = 2.0 * t_pred
-    n_steps = int(math.floor(cap / T_STEP)) + 1
-    ys_all = np.arange(1, k_max + 1, dtype=float)
-    for i in range(n_steps + 1):
-        t = i * T_STEP
-        # The inequality must hold for every y >= t^2; its log ratio at
-        # (y, k) is t sqrt(y) + k log(1 - t/sqrt(y)).  The log factor is
-        # <= 0, so the worst k is the smallest admissible one, k = y, and
-        # the worst y is the large-y limit where the ratio tends to -t^2/2.
-        if -t * t / 2.0 > log_eps + 1e-12:
-            continue
-        ys = ys_all[ys_all >= t * t]
-        if ys.size == 0:
-            continue
-        with np.errstate(divide="ignore"):
-            vals = t * np.sqrt(ys) + ys * np.log1p(-t / np.sqrt(ys))
-        if float(vals.max()) <= log_eps + 1e-12:
-            return t
-    raise VerificationError(
-        f"no t below the cap {cap:.3g} satisfies the tail ratio bound; "
-        "this indicates an implementation bug")
+    log_eps, i = math.log(epsilon), 0
+    while -(i * T_STEP) * (i * T_STEP) / 2.0 > log_eps + 1e-12:
+        i += 1
+    return i * T_STEP
 
 
 def phi(m: float, t: float) -> float:

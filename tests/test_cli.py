@@ -530,3 +530,16 @@ class TestImportGraph:
                               code)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.split() == ["[]", "[]"]
+
+    def test_closed_forms_never_load_optimize(self, tmp_path):
+        # the triple-disc test and the tail-ratio shift are closed forms:
+        # neither searches with scipy.optimize
+        code = ("import sys; import numpy as np;"
+                " from fockdiv.divisor import triple_disc_witness;"
+                " from fockdiv.fock import CoefVec, local_concentration_check;"
+                " triple_disc_witness((0j, 1.0), (1 + 0j, 1.0), (0.5j, 1.0));"
+                " local_concentration_check(CoefVec(np.eye(32)[8]), 4, 0.5);"
+                " print('scipy.optimize' in sys.modules)")
+        proc = run_subprocess(tmp_path, "", code)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -322,7 +322,7 @@ class TestNeighbourScans:
             "cfg = configparser.ConfigParser()\n"
             f"cfg.read({str(config)!r})\n"
             "X, W = load_divisor(cfg), load_window(cfg)\n"
-            "covering_margin(X, 0.0, W)\n"
+            "covering_margin(X, [0.0], W)\n"
             "_count_scan(W.grid(), X.centers, X.radii)\n")
         assert child_peak_rss_mb(code) < 200
 
@@ -351,9 +351,9 @@ class TestCoveringAndDisjointness:
     def test_covering_margin_sign(self):
         X = Divisor(np.array([0j]), np.array([16]))
         W = Region.disc(3.0, 0.1)
-        (_, margin), _ = covering_margin(X, 0.0, W)
+        (_, margin), _ = covering_margin(X, [0.0], W)[0]
         assert margin <= 0  # disc of radius 4 covers the window
-        (_, margin), _ = covering_margin(X, 0.0, Region.disc(5.0, 0.1))
+        (_, margin), _ = covering_margin(X, [0.0], Region.disc(5.0, 0.1))[0]
         assert margin == pytest.approx(1.0, abs=0.05)
 
     def test_covering_margin_nonincreasing_in_C_expand(self):
@@ -374,7 +374,7 @@ class TestCoveringAndDisjointness:
         # no radius exceeds C: the shrunk entry is None, the expanded one
         # is still measured
         X = Divisor(np.array([0j]), np.array([1]))
-        expand, shrink = covering_margin(X, 2.0, Region.disc(2.0, 0.1))
+        expand, shrink = covering_margin(X, [2.0], Region.disc(2.0, 0.1))[0]
         assert shrink is None
         assert expand[1] == pytest.approx(-1.0, abs=0.01)
 
@@ -399,13 +399,12 @@ class TestCoveringAndDisjointness:
                 assert abs(margin - dense.max()) <= tol
                 at_wz = dense_margin_scan(np.array([wz]), cs, rho)[0]
                 assert wz in pts and abs(at_wz - dense.max()) <= tol
-        assert covering_margin(X, margins[0], W) == rows[0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_margin(self, bad):
         X = Divisor(np.array([0j, 1 + 0j]), np.array([1, 2]))
         W = Region.disc(2.0, 0.5)
-        for C in (bad, [0.0, bad]):
+        for C in ([bad], [0.0, bad]):
             with pytest.raises(ParameterError):
                 covering_margin(X, C, W)
         with pytest.raises(ParameterError):
@@ -449,6 +448,22 @@ class TestTripleDisc:
     def test_rejects_empty_intersection(self):
         with pytest.raises(PreconditionError):
             triple_disc_witness((0j, 1.0), (10 + 0j, 1.0), (5j, 1.0))
+
+    @pytest.mark.parametrize("discs", [
+        [(0.22234377860987703 + 0.2604827574978832j, 0.7353137511488772),
+         (1.672952493676314 - 1.8258814969158963j, 1.8057847212292135),
+         (0.893489127256494 - 0.1684621671703103j, 1.8605378865040645)],
+        [(1.0161414869746983 + 0.7687555504711374j, 0.6330270362745114),
+         (-1.4357015596749696 + 1.6977400319098008j, 1.9889086021724331),
+         (0.420262628989588 + 0.9827039165455101j, 0.226533457044521)]],
+        ids=["wide-third", "narrow-third"])
+    def test_tangent_pair_under_third_disc(self, discs):
+        # the first two discs touch (|c2 - c1| = r1 + r2 in double) and the
+        # third covers the touching point: the common part is that point
+        (c1, r1), (c2, r2), _ = discs
+        assert abs(c2 - c1) == r1 + r2
+        (i, j), slack, _ = triple_disc_witness(*discs)
+        assert slack > 0
 
     def test_symmetric_triple(self):
         (i, j), slack, area_ratio = triple_disc_witness(

@@ -269,6 +269,15 @@ class TestLocalConcentration:
         ok, a = local_concentration_check(f, m, eta=0.5)
         assert ok and a >= 0.0
 
+    def test_small_eta(self):
+        # eta = 1e-3 asks for the shift at epsilon = 2.5e-4, which a search
+        # over k <= 10 never found
+        c = np.zeros(32)
+        c[4:12] = 1.0
+        c /= np.linalg.norm(c)
+        ok, a = local_concentration_check(CoefVec(c), 4, eta=1e-3)
+        assert ok and 0.5 <= a <= 1.5
+
     def test_rejects_heavy_head(self):
         f = CoefVec.basis(0, 20)
         with pytest.raises(ParameterError):

@@ -314,6 +314,13 @@ class TestFrameSweep:
         with pytest.raises(ParameterError):
             frame_sweep(X, [5, 0])
 
+    @pytest.mark.parametrize("truncations", [[0, -3], [4, 0]])
+    def test_empty_divisor_rejects_nonpositive_truncation(self, truncations):
+        # the empty divisor's shortcut must not skip the check
+        X = Divisor(np.array([], dtype=complex), np.array([], dtype=int))
+        with pytest.raises(ParameterError):
+            frame_sweep(X, truncations)
+
     def test_sampling_sweep_bounded_memory(self):
         # R(600) for the 3,000-node lattice would be 29 MB complex; the
         # sweep streams its rows into one 6 MB Gram and never stores it

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from fockdiv.errors import DomainError, ParameterError
-from fockdiv.specfun import (find_tail_ratio_t, omega, phi, sigma,
+from fockdiv.specfun import (T_STEP, find_tail_ratio_t, omega, phi, sigma,
                              verify_tail_lower_a, verify_tail_lower_b)
 
 
@@ -165,17 +165,17 @@ class TestLowerBoundVerifiers:
 
 class TestTailRatioSearch:
     def test_epsilon_one_gives_zero(self):
-        assert find_tail_ratio_t(1.0, 50) == 0.0
+        assert find_tail_ratio_t(1.0) == 0.0
 
     def test_matches_proof_scale(self):
-        t = find_tail_ratio_t(math.exp(-2), 200)
+        t = find_tail_ratio_t(math.exp(-2))
         pred = math.sqrt(2 * math.log(1 / math.exp(-2)))
         assert pred <= t <= 2 * pred
 
     def test_integrated_consequence(self):
         # the integrand inequality implies the factor-2 tail ratio bound
         eps = math.exp(-2)
-        t = find_tail_ratio_t(eps, 200)
+        t = find_tail_ratio_t(eps)
         for m in range(max(1, math.ceil(t * t)), 201, 13):
             for k in range(m, 201, 13):
                 lhs = sigma(k, m - t * math.sqrt(m))
@@ -183,15 +183,29 @@ class TestTailRatioSearch:
                 assert lhs <= 2 * eps * rhs + 1e-300
 
     def test_intermediate_epsilon(self):
-        t = find_tail_ratio_t(0.1, 200)
+        t = find_tail_ratio_t(0.1)
         pred = math.sqrt(2 * math.log(10.0))
         assert pred <= t <= 2 * pred
 
+    def test_integrand_inequality_on_the_y_grid(self):
+        # the grid check the closed form replaced, as an oracle: at the
+        # worst k = y the log ratio is at most log(epsilon) for every
+        # integer y in [t^2, 10^4]; one grid step less breaks its
+        # large-y limit -t^2/2 <= log(epsilon)
+        ys = np.arange(1, 10_001, dtype=float)
+        for eps in np.logspace(-300, 0, 301):
+            t = find_tail_ratio_t(float(eps))
+            y = ys[ys >= t * t]
+            with np.errstate(divide="ignore"):
+                vals = t * np.sqrt(y) + y * np.log1p(-t / np.sqrt(y))
+            assert vals.max() <= math.log(eps) + 1e-12
+            assert t == 0 or -(t - T_STEP) ** 2 / 2 > math.log(eps)
+
     def test_rejects_bad_epsilon(self):
         with pytest.raises(DomainError):
-            find_tail_ratio_t(0.0, 100)
+            find_tail_ratio_t(0.0)
         with pytest.raises(DomainError):
-            find_tail_ratio_t(1.5, 100)
+            find_tail_ratio_t(1.5)
 
 
 class TestRadialProfile:
