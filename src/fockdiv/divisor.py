@@ -19,10 +19,13 @@ from scipy.spatial import cKDTree
 from .errors import (DomainError, ParameterError, PreconditionError,
                      ResourceError)
 
-# Relative padding of every neighbour reach.  The tree's distances and
-# np.abs(z - c) differ by a few ulps at most, so the padded candidate sets
+# Relative padding of every neighbour reach.  np.abs(z - c) differs from
+# the k-d tree's distances, and from the mesh coordinates that bound a
+# node's box of cells, by a few ulps at most, so the padded candidate sets
 # hold every node the exact comparisons below can select.
 _REACH_PAD = 1.0 + 1e-9
+# Candidate (point, node) pairs of a mesh scan alive at once.
+_SCAN_CHUNK = 1 << 15
 # Largest center modulus: squared distances stay finite below it.
 _CENTER_LIMIT = 1e150
 # Largest scan lattice of Region.mesh, in points (64 MB as complex).
@@ -217,25 +220,73 @@ def _xy(z: np.ndarray) -> np.ndarray:
     return np.column_stack((z.real, z.imag))
 
 
-def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(point, node) index pairs with |point - center| <= reach, the reach
-    padded by _REACH_PAD."""
-    pairs = cKDTree(_xy(points)).sparse_distance_matrix(
-        cKDTree(_xy(centers)), reach * _REACH_PAD, output_type="ndarray")
-    return pairs["i"], pairs["j"]
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """start[i] + arange(length[i]) for every i, concatenated."""
+    ends = np.cumsum(length)
+    return np.repeat(start - ends + length, length) + np.arange(length.sum())
 
 
-def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
-                 ) -> np.ndarray:
-    """min over nodes of |z - center| - radius.  Every minimizing node lies
-    within d1 + (max radius - min radius) of z, d1 the distance from z to
-    its nearest center, so each point takes its k nearest centers, with k
-    grown until the k-th lies beyond that reach or k is the node count."""
-    tree = cKDTree(_xy(centers))
+def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float,
+                h: float):
+    """Chunks (point, node, distance), in node order, of the pairs with
+    |point - center| <= reach * _REACH_PAD, for distinct points (at least
+    one) of a mesh of step h.  Each node reads its box of mesh cells, padded
+    by one cell, from a dense index table, about _SCAN_CHUNK at a time."""
+    k = _xy(points - points[0]).T / h
+    ik = np.rint(k)
+    # 1e-6 of a step, plus the drift of np.arange's rounded step across the
+    # mesh (about eps |start| / h a step), kept below a quarter step
+    tol = min(0.25, 1e-6 + 4 * np.finfo(float).eps * (np.ptp(ik) + 1)
+              * (np.abs(points).max() / h + 1))
+    if not np.abs(k - ik).max() <= tol:
+        raise PreconditionError(f"scan points are not on a mesh of step {h:g}")
+    k0 = ik.min(axis=1, keepdims=True)
+    n = ik.max(axis=1, keepdims=True) - k0 + 1
+    if n.prod() > MAX_GRID_POINTS:
+        raise ResourceError(f"scan points span {n.prod():.3g} mesh cells, "
+                            f"over the cap of {MAX_GRID_POINTS}")
+    nx = int(n[0, 0])
+    cell = ((ik[1] - k0[1]) * nx + ik[0] - k0[0]).astype(np.intp)
+    table = np.full(int(n.prod()), -1)
+    table[cell] = np.arange(points.size)
+    if not np.array_equal(table[cell], np.arange(points.size)):
+        raise PreconditionError("two scan points share a mesh cell")
+    # each node's box of cells, padded by one cell and clipped in floats,
+    # so that far nodes cannot overflow the index arithmetic
+    reach *= _REACH_PAD
+    xy = _xy(centers - points[0]).T
+    lo = np.clip(np.ceil((xy - reach) / h) - k0 - 1, 0, n)
+    hi = np.clip(np.floor((xy + reach) / h) - k0 + 1, -1, n - 1)
+    (lx, ly), (wx, wy) = lo.astype(np.intp), (hi - lo + 1).clip(0).astype(int)
+    size = wx * wy
+    chunk = (np.cumsum(size) - size) // _SCAN_CHUNK
+    for nodes in np.split(np.arange(centers.size),
+                          np.flatnonzero(np.diff(chunk)) + 1):
+        # the rows of the boxes, then the cells of each row
+        row_node = np.repeat(nodes, wy[nodes])
+        row_cell = _ranges(ly[nodes], wy[nodes]) * nx + lx[row_node]
+        pi = table[_ranges(row_cell, wx[row_node])]
+        node = np.repeat(nodes, size[nodes])[pi >= 0]
+        pi = pi[pi >= 0]
+        dist = np.abs(points[pi] - centers[node])
+        close = dist <= reach
+        yield pi[close], node[close], dist[close]
+
+
+def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+                 h: float) -> np.ndarray:
+    """min over nodes of |z - center| - radius, for the points z of a mesh
+    of step h.  A minimum at most h is decided by the pairs within max
+    radius + h.  Above h, every minimizing node lies within d1 + (max radius
+    - min radius) of z, d1 the distance to its nearest center, so z takes
+    its k nearest centers, k grown until the k-th lies beyond that reach or
+    k is the node count."""
+    out = np.full(points.size, np.inf)
+    for pi, ni, dist in _near_pairs(points, centers, radii.max() + h, h):
+        np.minimum.at(out, pi, dist - radii[ni])
+    todo, k = np.flatnonzero(out > h), 4
+    tree = cKDTree(_xy(centers)) if todo.size else None
     spread = radii.max() - radii.min()
-    out = np.empty(points.size)
-    todo, k = np.arange(points.size), 4
     while todo.size:
         k = min(k, centers.size)
         d, j = tree.query(_xy(points[todo]), k=list(range(1, k + 1)))
@@ -247,12 +298,15 @@ def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     return out
 
 
-def _count_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
-                ) -> np.ndarray:
-    """Number of open discs D(center, radius) containing each point."""
-    pi, ni = _near_pairs(points, centers, radii.max(initial=0.0))
-    inside = np.abs(points[pi] - centers[ni]) < radii[ni]
-    return np.bincount(pi[inside], minlength=points.size)
+def _count_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+                h: float) -> np.ndarray:
+    """Number of open discs D(center, radius) containing each point of a
+    mesh of step h."""
+    counts = np.zeros(points.size, dtype=np.intp)
+    for pi, ni, dist in _near_pairs(points, centers,
+                                    radii.max(initial=0.0), h):
+        counts += np.bincount(pi[dist < radii[ni]], minlength=points.size)
+    return counts
 
 
 def _circle_intersections(c1, r1, c2, r2):
@@ -273,14 +327,14 @@ def _circle_intersections(c1, r1, c2, r2):
 
 def overlap_constant(divisor: Divisor, window: Region) -> int:
     """Max covering count over the window grid, enriched with centers and
-    pairwise circle intersection points (one vectorized pass over the near
-    pairs).  A certified lower bound for (and a heuristic estimate of) the
-    true overlap constant."""
+    pairwise circle intersection points.  A certified lower bound for (and
+    a heuristic estimate of) the true overlap constant."""
     pts = window.grid()
     if pts.size == 0:
         raise ParameterError("window grid is empty")
     centers, radii = divisor.centers, divisor.radii
-    # circles meet only at center distance <= r_i + r_j <= 2 max radius
+    # Circles meet only at center distance <= r_i + r_j <= 2 max radius, and
+    # a disc holding center i or a point of circle i lies as near to c_i.
     pairs = cKDTree(_xy(centers)).query_pairs(
         2 * radii.max(initial=0.0) * _REACH_PAD, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
@@ -289,8 +343,20 @@ def overlap_constant(divisor: Divisor, window: Region) -> int:
     # Nudge inward so open-disc membership is unambiguous.
     mid = ((centers[i] + centers[j]) / 2)[meets, None]
     pq = np.column_stack((p, q))
-    all_pts = np.concatenate([pts, centers, (pq + 1e-9 * (mid - pq)).ravel()])
-    return int(_count_scan(all_pts, centers, radii).max())
+    extra = np.concatenate([centers, (pq + 1e-9 * (mid - pq)).ravel()])
+    # each center, and each crossing of circle i, is counted against its
+    # node and that node's pair partners: b listed by a in runs of degree[a]
+    nodes = np.arange(centers.size)
+    a, b = np.concatenate([nodes, i, j]), np.concatenate([nodes, j, i])
+    degree = np.bincount(a, minlength=centers.size)
+    anchor = np.concatenate([nodes, np.repeat(i[meets], 2)])
+    sizes = degree[anchor]
+    e = np.repeat(np.arange(extra.size), sizes)
+    k = b[np.argsort(a, kind="stable")][
+        _ranges(np.cumsum(degree)[anchor] - sizes, sizes)]
+    inside = np.abs(extra[e] - centers[k]) < radii[k]
+    return int(max(_count_scan(pts, centers, radii, window.h).max(),
+                   np.bincount(e[inside], minlength=1).max()))
 
 
 def covering_margin(divisor: Divisor, margins, window: Region) -> list:
@@ -315,7 +381,8 @@ def covering_margin(divisor: Divisor, margins, window: Region) -> list:
             return None
         key = nodes.tobytes()
         if key not in worst:
-            m = _margin_scan(pts, divisor.centers[nodes], radii[nodes])
+            m = _margin_scan(pts, divisor.centers[nodes], radii[nodes],
+                             window.h)
             worst[key] = complex(pts[m.argmax()]), float(m.max())
         wz, m = worst[key]
         return wz, m + shift
@@ -423,20 +490,21 @@ def triple_disc_witness(d1, d2, d3) -> tuple[tuple[int, int], float, float]:
     return (i, j), slack, area_ratio
 
 
-def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray,
+def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray, h: float,
                       edge: float, scans: dict) -> float | None:
     """Smallest R such that the discs shrunk by C cover pts outside the
     centered disc of radius R; None when no disc survives the shrink, pts
-    is empty or the uncovered points reach edge.  The shrink shifts the
-    margins by +C, so scans keeps one scan of the unshrunk discs per node
-    set {radius > C}, and the uncovered points have base margin > -C."""
+    (points of a mesh of step h) is empty or the uncovered points reach
+    edge.  The shrink shifts the margins by +C, so scans keeps one scan of
+    the unshrunk discs per node set {radius > C}, and the uncovered points
+    have base margin > -C."""
     nodes = divisor.radii > C
     if not nodes.any() or pts.size == 0:
         return None
     centers, radii = divisor.centers[nodes], divisor.radii[nodes]
     key = centers.tobytes() + radii.tobytes()
     if key not in scans:
-        scans[key] = _margin_scan(pts, centers, radii)
+        scans[key] = _margin_scan(pts, centers, radii, h)
     uncovered = pts[scans[key] > -C]
     if uncovered.size == 0:
         return 0.0
@@ -460,13 +528,14 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
             else math.inf)
     scans = {}
     for C in c_list:
-        if _uncovered_radius(divisor, C, pts, edge, scans) is None:
+        if _uncovered_radius(divisor, C, pts, window.h, edge, scans) is None:
             raise PreconditionError(
                 f"shrink-covering hypothesis fails for C={C}")
     keep = np.ones(len(divisor), dtype=bool)
     s_max = int(math.ceil(math.sqrt(float(divisor.mults.max()))))
     for s in range(1, s_max + 1):
-        r_s = _uncovered_radius(divisor, float(s), pts, edge, scans)
+        r_s = _uncovered_radius(divisor, float(s), pts, window.h, edge,
+                                scans)
         if r_s is None:
             continue  # no eligible discs at this shrink inside the window
         mask = ((np.abs(divisor.centers) > r_s + s)
@@ -475,7 +544,7 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
         keep &= ~mask
     thinned = divisor.subset(keep)
     for C in c_list:
-        if _uncovered_radius(thinned, C, pts, edge, scans) is None:
+        if _uncovered_radius(thinned, C, pts, window.h, edge, scans) is None:
             raise PreconditionError(
                 f"thinning broke the covering for C={C} (resolution too "
                 "coarse or window too small)")

@@ -197,9 +197,9 @@ def local_concentration_check(f: CoefVec, m: int, eta: float
     # 2 epsilon sigma_k(m); eta/4 leaves room for that factor of 2.
     a_pred = find_tail_ratio_t(eta / 4)
     root = math.sqrt(m)
-    a = 0.0
-    while a < root:
+    i = 0
+    while (a := i / 10) < root:  # the grid point itself: a += 0.1 drifts
         if disc_local_norm_sq(f, 0.0, root - a) <= eta:
             return a <= a_pred + 1e-12, a
-        a += 0.1
+        i += 1
     return False, float("nan")

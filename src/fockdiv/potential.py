@@ -163,7 +163,7 @@ def uniqueness_certificate(divisor: Divisor, window: Region, r_list
     inner = pts[window.contains(pts, collar)]
     if inner.size == 0:
         raise ParameterError("window too small for the collar")
-    counts = _count_scan(inner, divisor.centers, radii)
+    counts = _count_scan(inner, divisor.centers, radii, window.h)
     h2 = window.h ** 2
     uncovered = inner[counts == 0]
     if uncovered.size:
@@ -253,36 +253,33 @@ def verify_psi_laplacian(divisor: Divisor, window: Region
     # Excluding d <= (8 m / 60)^{1/4} (h-independent) keeps that error
     # below the quoted tolerance 60 h^2.
     eps = np.maximum(10.0 * h, (8.0 * divisor.mults / 60.0) ** 0.25)
-    # Every node-wise term and mask below is decided within this reach.
+    # Every node-wise term and mask below is decided within this reach:
+    # nodes beyond it have |z - c| - r > 2 h and |z - c| > eps.
     reach = max(divisor.radii.max(initial=0.0) + 2 * h, eps.max(initial=0.0))
-    pi, ni = _near_pairs(flat, divisor.centers, reach)
-    # in node order, so each point sums its disc terms node by node
-    order = np.argsort(ni, kind="stable")
-    pi, ni = pi[order], ni[order]
-    dists = np.abs(flat[pi] - divisor.centers[ni])
-    # psi = alpha |z|^2 + v
-    m = divisor.mults[ni]
-    u = divisor.alpha * dists ** 2 / m
-    hit = (u < 1.0) & (u > 0.0)
+    # psi = alpha |z|^2 + v; the pairs come in node order, so each point
+    # sums its disc terms node by node
     psi = divisor.alpha * np.abs(flat) ** 2
-    np.add.at(psi, pi[hit], m[hit] * (np.log(u[hit]) + 1.0 - u[hit]))
+    in_some_disc = np.zeros(flat.size, dtype=bool)
+    outside_all = np.ones(flat.size, dtype=bool)
+    near_edge = np.zeros(flat.size, dtype=bool)
+    clear_of_centers = np.ones(flat.size, dtype=bool)
+    for pi, ni, dists in _near_pairs(flat, divisor.centers, reach, h):
+        m = divisor.mults[ni]
+        u = divisor.alpha * dists ** 2 / m
+        hit = (u < 1.0) & (u > 0.0)
+        np.add.at(psi, pi[hit], m[hit] * (np.log(u[hit]) + 1.0 - u[hit]))
+        excess = dists - divisor.radii[ni]
+        in_some_disc[pi[excess < 0]] = True
+        outside_all[pi[excess <= 0]] = False
+        near_edge[pi[np.abs(excess) <= 2 * h]] = True
+        clear_of_centers[pi[dists <= eps[ni]]] = False
     psi[np.isin(flat, divisor.centers)] = -np.inf
     psi = psi.reshape(zs.shape)
     lap = np.full(zs.shape, np.nan)
     lap[1:-1, 1:-1] = (psi[2:, 1:-1] + psi[:-2, 1:-1] + psi[1:-1, 2:]
                        + psi[1:-1, :-2] - 4 * psi[1:-1, 1:-1]) / (h * h)
     lap = lap.ravel()
-    # The node-wise conditions from the pairs alone: nodes beyond the reach
-    # have |z - c| - r > 2 h and |z - c| > eps.
-    excess = dists - divisor.radii[ni]
-    in_some_disc = np.zeros(flat.size, dtype=bool)
-    in_some_disc[pi[excess < 0]] = True
-    outside_all = np.ones(flat.size, dtype=bool)
-    outside_all[pi[excess <= 0]] = False
-    valid = np.isfinite(lap)
-    valid[pi[np.abs(excess) <= 2 * h]] = False
-    clear_of_centers = np.ones(flat.size, dtype=bool)
-    clear_of_centers[pi[dists <= eps[ni]]] = False
+    valid = np.isfinite(lap) & ~near_edge
     if window.kind == "disc":
         valid &= np.abs(flat) <= window.radius - 2 * h
     inside = valid & in_some_disc & clear_of_centers

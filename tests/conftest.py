@@ -233,20 +233,37 @@ def report_body(out, name):
                    if not ln.startswith("#"))
 
 
+def _child_stdout(code: str) -> str:
+    """Standard output of a fresh interpreter running code on src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    return proc.stdout
+
+
 def child_peak_rss_mb(code: str) -> float:
     """Peak resident memory of a fresh interpreter running code.  Read as
     VmHWM, the peak of the child's own address space: on Linux the child's
     getrusage ru_maxrss starts from the peak of the process that spawned
     it, here the whole pytest run."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code += ("\nwith open('/proc/self/status') as fh:\n"
              "    print(next(ln for ln in fh if ln.startswith('VmHWM:')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300,
-                          check=True)
-    return int(proc.stdout.split()[-2]) / 1024.0
+    return int(_child_stdout(code).split()[-2]) / 1024.0
+
+
+def child_peak_rise_mb(setup: str, code: str) -> float:
+    """How far running code raises the peak resident memory (VmHWM) of a
+    fresh interpreter over its peak once setup has run."""
+    peak = ("def _peak_kb():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return int(next(ln for ln in fh\n"
+            "                        if ln.startswith('VmHWM:')).split()[1])\n")
+    return int(_child_stdout(
+        peak + setup + "\n_base = _peak_kb()\n" + code
+        + "\nprint(_peak_kb() - _base)\n").split()[-1]) / 1024.0
 
 
 def random_divisor(rng: np.random.Generator, max_nodes: int = 4,

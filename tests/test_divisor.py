@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockdiv.divisor as dv
-from conftest import (child_peak_rss_mb, circle_intersections,
-                      dense_count_scan, dense_disjointness_check,
+from conftest import (child_peak_rise_mb, child_peak_rss_mb,
+                      circle_intersections, dense_count_scan,
+                      dense_disjointness_check,
                       dense_margin_scan, dense_overlap_constant,
                       lens_area_grid, random_divisor)
 from fockdiv.divisor import (Divisor, Region, _circle_intersections,
@@ -173,7 +174,7 @@ class TestOverlap:
     def test_count_single(self):
         X = Divisor(np.array([0j]), np.array([4]))
         counts = _count_scan(np.array([1.0 + 0j, 3.0 + 0j]), X.centers,
-                             X.radii)
+                             X.radii, 1.0)
         assert counts[0] == 1
         assert counts[1] == 0
 
@@ -202,18 +203,43 @@ class TestOverlap:
 
 @st.composite
 def scan_cases(draw):
-    """(points, centers, radii, C): centers on a half-integer grid (exact
-    distance ties) or anywhere, equal or mixed radii, and points at random,
-    at the centers, on every circle at c +- r and c +- i r, on the
-    half-integer grid, and far outside every disc."""
-    n = draw(st.integers(min_value=1, max_value=12))
+    """(points, h, centers, radii, C): the grid, full mesh or collar-masked
+    grid of a disc or rectangle window at several steps and origins;
+    centers on a half-integer grid (exact distance ties; at h = 0.25 or 0.5
+    from a half-integer origin, grid points lie exactly on every circle of
+    radius 0.5, 1 or 2), anywhere, or on a translated lattice, some outside
+    the window and optionally three 1e6 away, with equal or mixed radii."""
+    h = draw(st.sampled_from([0.25, 0.5, 0.3, 0.7]))
     if draw(st.booleans()):
-        coord = st.integers(min_value=-8, max_value=8).map(lambda k: k / 2)
+        W = Region.disc(draw(st.sampled_from([3.0, 4.0, 5.5])), h)
     else:
-        coord = st.floats(min_value=-5, max_value=5)
-    xy = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n,
-                       unique=True))
-    centers = np.array([complex(x, y) for x, y in xy])
+        x0, y0 = (draw(st.sampled_from([-4.0, -3.5, -2.7]))
+                  for _ in range(2))
+        W = Region.rectangle(x0, x0 + 7.0, y0, y0 + 6.5, h)
+    part = draw(st.sampled_from(["grid", "mesh", "collar"]))
+    points = W.mesh().ravel() if part == "mesh" else W.grid()
+    if part == "collar":
+        points = points[W.contains(points, 1.0)]
+    layout = draw(st.sampled_from(["half", "any", "lattice"]))
+    if layout == "lattice":
+        dx, dy = (draw(st.floats(min_value=-0.5, max_value=0.5))
+                  for _ in range(2))
+        spacing = draw(st.sampled_from([1.0, 1.5, 1.8]))
+        centers = lattice(spacing, 1, 6.0).centers + complex(dx, dy)
+    else:
+        n = draw(st.integers(min_value=1, max_value=12))
+        if layout == "half":
+            coord = st.integers(min_value=-12, max_value=12).map(
+                lambda k: k / 2)
+        else:
+            coord = st.floats(min_value=-6, max_value=6)
+        xy = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n,
+                           unique=True))
+        centers = np.array([complex(x, y) for x, y in xy])
+    if draw(st.booleans()):
+        centers = np.concatenate(
+            [centers, 1e6 * np.exp(2j * np.pi * np.arange(3) / 3)])
+    n = centers.size
     if draw(st.booleans()):
         radii = np.full(n, draw(st.sampled_from([0.5, 1.0, math.sqrt(2),
                                                  2.0])))
@@ -222,38 +248,28 @@ def scan_cases(draw):
                               min_size=n, max_size=n))
         alpha = draw(st.sampled_from([0.5, 1.0, 3.0]))
         radii = np.sqrt(np.array(mults) / alpha)
-    rng = np.random.default_rng(draw(st.integers(min_value=0,
-                                                 max_value=2 ** 32 - 1)))
-    ks = np.arange(-16, 17) / 2
-    points = np.concatenate([
-        rng.uniform(-7, 7, 40) + 1j * rng.uniform(-7, 7, 40),
-        centers,
-        (centers[:, None] + radii[:, None] * np.array([1, -1, 1j, -1j])
-         ).ravel(),
-        (ks[:, None] + 1j * ks[None, :]).ravel(),
-        1e3 * np.exp(2j * np.pi * np.arange(5) / 5),
-    ])
     C = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    return points, centers, radii, C
+    return points, h, centers, radii, C
 
 
 class TestNeighbourScans:
     @given(case=scan_cases())
     @settings(max_examples=80, deadline=None)
     def test_scans_match_dense_oracles(self, case):
-        points, centers, radii, C = case
+        points, h, centers, radii, C = case
         systems = [(centers, radii), (centers, radii + C)]
         eligible = radii > C  # the shrunk system of covering_margin
         if eligible.any():
             systems.append((centers[eligible], radii[eligible] - C))
         for c, r in systems:
-            assert np.array_equal(_count_scan(points, c, r),
+            assert np.array_equal(_count_scan(points, c, r, h),
                                   dense_count_scan(points, c, r))
-            assert np.array_equal(_margin_scan(points, c, r),
+            assert np.array_equal(_margin_scan(points, c, r, h),
                                   dense_margin_scan(points, c, r))
             assert _worst_overlap(c, r) == dense_disjointness_check(c, r)
-            # shifted apart along the real axis (the centers lie within 15
-            # of each other) until no two discs meet
+            # shifted apart along the real axis until no two discs meet:
+            # the centers near the window lie within 15 of each other,
+            # those 1e6 away farther from every other than any shift
             far = c + (2 * r.max() + 15) * np.arange(c.size)
             assert dense_disjointness_check(far, r)[0]
             assert _worst_overlap(far, r) == dense_disjointness_check(far, r)
@@ -281,11 +297,52 @@ class TestNeighbourScans:
             == [list(e) for e in expected if e]
 
     def test_single_node(self):
+        # points of the integer mesh, so of its halvings too: the center,
+        # four points on the circle, one beyond it and one far away
         c, r = np.array([1 + 1j]), np.array([2.0])
         points = np.array([1 + 1j, 3 + 1j, 1 + 3j, -1 + 1j, 4 + 1j, 1e3 + 0j])
-        assert _count_scan(points, c, r).tolist() == [1, 0, 0, 0, 0, 0]
-        assert np.array_equal(_margin_scan(points, c, r),
-                              dense_margin_scan(points, c, r))
+        for h in (1.0, 0.5, 0.25):
+            assert _count_scan(points, c, r, h).tolist() == [1, 0, 0, 0, 0, 0]
+            assert np.array_equal(_margin_scan(points, c, r, h),
+                                  dense_margin_scan(points, c, r))
+
+    def test_empty_divisor(self):
+        points = Region.disc(3.0, 0.5).grid()
+        c, r = np.array([], dtype=complex), np.array([])
+        assert np.array_equal(_count_scan(points, c, r, 0.5),
+                              dense_count_scan(points, c, r))
+        assert not any(pi.size for pi, _, _ in dv._near_pairs(points, c,
+                                                               1.0, 0.5))
+
+    def test_window_far_from_origin(self):
+        # np.arange builds these grids with a rounded step, whose drift puts
+        # points up to 7e-6 and 1.2e-5 of h off their mesh nodes
+        for W in (Region.rectangle(1e7, 1e7 + 3, 0, 3, 0.01),
+                  Region.rectangle(1e8, 1e8 + 10, -5, 5, 0.05)):
+            points, lo = W.grid(), W.rect[0]
+            X = Divisor(lo + np.array([0.9 + 0.5j, 2 + 1j, 1.5 - 0.1j]),
+                        np.array([1, 2, 1]))
+            c, r = X.centers, X.radii
+            assert np.array_equal(_count_scan(points, c, r, W.h),
+                                  dense_count_scan(points, c, r))
+            assert np.array_equal(_margin_scan(points, c, r, W.h),
+                                  dense_margin_scan(points, c, r))
+            assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+
+    @pytest.mark.parametrize("scan", [_count_scan, _margin_scan])
+    def test_rejects_points_off_one_mesh(self, scan):
+        c, r = np.array([0.2 + 0.1j]), np.array([1.0])
+        on = np.array([0j, 0.5 + 0j, 0.5j, 1 + 1.5j])
+        scan(np.r_[on, 1.5 + 1e-7 * 0.5], c, r, 0.5)  # 1e-7 h off the mesh
+        for bad in (np.r_[on, 0.75 + 0j],  # off the mesh
+                    np.r_[on, 1 + 1.5j + 1e-5 * 0.5],  # 1e-5 h off
+                    np.r_[on, 0.5 + 0j],  # a duplicate
+                    np.r_[on, 1e-9 + 0.5j]):  # two points in one cell
+            with pytest.raises(PreconditionError):
+                scan(bad, c, r, 0.5)
+        # two mesh points whose cells would fill a 1e8-cell table
+        with pytest.raises(ResourceError):
+            scan(np.array([0j, 1e4 + 1e4j]), c, r, 1.0)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -306,6 +363,23 @@ class TestNeighbourScans:
         assert disjointness_check(X, C) == \
             dense_disjointness_check(X.centers, r + C)
 
+    @pytest.mark.parametrize("centers,mults", [
+        ([0j, 2 + 0j], [1, 1]),  # externally tangent
+        ([0j, 1 + 0j], [4, 1]),  # internally tangent
+        ([0j, 1.5 + 0j, 0.75 + 1.2j], [1, 1, 1]),  # crossing pairs
+        # three unit circles through the origin, a grid point
+        (np.exp(2j * np.pi * np.arange(3) / 3), [1, 1, 1]),
+        (lattice(2.0, 1, 4.0).centers, None),  # tangent lattice
+        (lattice(1.0, 2, 3.0).centers + (0.1 - 0.3j), None),  # crossings
+    ])
+    def test_overlap_constant_tangent_and_crossing(self, centers, mults):
+        centers = np.asarray(centers, dtype=complex)
+        X = Divisor(centers, np.ones(centers.size, int) if mults is None
+                    else np.array(mults))
+        for W in (Region.disc(5.0, 0.25),
+                  Region.rectangle(-2.6, 3.1, -1.9, 2.3, 0.3)):
+            assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+
     def test_overlap_constant_lattice(self):
         X = lattice(1.5, 2, 6.0, hole_radius=2.0)
         W = Region.disc(7.0, 0.3)
@@ -323,8 +397,32 @@ class TestNeighbourScans:
             f"cfg.read({str(config)!r})\n"
             "X, W = load_divisor(cfg), load_window(cfg)\n"
             "covering_margin(X, [0.0], W)\n"
-            "_count_scan(W.grid(), X.centers, X.radii)\n")
+            "_count_scan(W.grid(), X.centers, X.radii, W.h)\n")
         assert child_peak_rss_mb(code) < 200
+
+    @pytest.mark.parametrize("workload,scans", [
+        ("uniqueness", "covering_margin(X, [0.0], W)\n"
+                       "_count_scan(W.grid(), X.centers, X.radii, W.h)\n"),
+        ("geometry", "covering_margin(X, [0.0, 0.5], W)\n"
+                     "overlap_constant(X, W)\n"),
+    ])
+    def test_bench_config_scans_peak_memory(self, workload, scans,
+                                            tmp_path):
+        # the scans of a benchmark config raise the peak resident memory by
+        # at most 16 MB over the peak once divisor and window are loaded
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        setup = (
+            "import configparser, sys\n"
+            "from pathlib import Path\n"
+            f"sys.path.insert(0, {str(bench)!r})\n"
+            "from run import make_config\n"
+            "from fockdiv.cli import load_divisor, load_window\n"
+            "from fockdiv.divisor import (_count_scan, covering_margin,\n"
+            "                             overlap_constant)\n"
+            "cfg = configparser.ConfigParser()\n"
+            f"cfg.read(make_config({workload!r}, 0, Path({str(tmp_path)!r})))\n"
+            "X, W = load_divisor(cfg), load_window(cfg)\n")
+        assert child_peak_rise_mb(setup, scans) <= 16.0
 
 
 @st.composite
@@ -543,9 +641,9 @@ class TestThinning:
         scanned = []
         scan = dv._margin_scan
 
-        def counted(points, centers, radii):
+        def counted(points, centers, radii, h):
             scanned.append(centers.size)
-            return scan(points, centers, radii)
+            return scan(points, centers, radii, h)
         monkeypatch.setattr(dv, "_margin_scan", counted)
         thin = thin_subdivisor(X, Region.disc(23.0, 0.1), [1.0, 2.0, 3.0])
         assert len(thin) == len(base)
@@ -566,7 +664,7 @@ class TestThinning:
         edge = W.radius - collar - W.h if W.kind == "disc" else math.inf
         scans = {}
         for C in shrinks:
-            assert dv._uncovered_radius(X, C, pts, edge, scans) \
+            assert dv._uncovered_radius(X, C, pts, W.h, edge, scans) \
                 == dense_uncovered_radius(X, C, W, collar)
         node_sets = {(X.radii > C).tobytes() for C in shrinks
                      if (X.radii > C).any()}

@@ -278,6 +278,13 @@ class TestLocalConcentration:
         ok, a = local_concentration_check(CoefVec(c), 4, eta=1e-3)
         assert ok and 0.5 <= a <= 1.5
 
+    def test_shrink_is_a_grid_point(self):
+        # the tenth step of the 0.1 grid is 1.0 itself, not the
+        # 0.9999999999999999 that ten additions of 0.1 reach
+        f = CoefVec(np.r_[np.zeros(4), np.full(8, 0.9 / 8 ** 0.5)])
+        ok, a = local_concentration_check(f, 4, eta=1e-3)
+        assert ok and a == 1.0
+
     def test_rejects_heavy_head(self):
         f = CoefVec.basis(0, 20)
         with pytest.raises(ParameterError):

@@ -15,7 +15,8 @@ from fockdiv.divisor import Divisor, Region, lattice
 from fockdiv.errors import (DomainError, ParameterError, PreconditionError,
                              VerificationError)
 from fockdiv.fock import CoefVec
-from fockdiv.potential import (RedistributionCurve, build_radial_weight,
+from fockdiv.potential import (LaplacianReport, RedistributionCurve,
+                               build_radial_weight,
                                cutoff_interpolant_field,
                                redistribution_integral,
                                uniqueness_certificate, verify_psi_laplacian,
@@ -232,6 +233,24 @@ class TestPsiLaplacian:
         W = Region.disc(8.0, 0.04)
         rep = verify_psi_laplacian(X, W)
         assert rep.ok
+
+    def test_reports_pinned(self):
+        # disjoint discs of mixed multiplicity, in a disc window and in a
+        # rectangle over a translated lattice, reported exactly as by the
+        # k-d tree pair search the mesh scan replaced
+        X = Divisor(np.array([0j, 5 + 0j, 2.5 + 4j]), np.array([4, 2, 3]))
+        assert verify_psi_laplacian(X, Region.disc(8.0, 0.05)) \
+            == LaplacianReport(
+                h=0.05, tol=0.15000000000000002, n_inside=7654,
+                n_outside=65800, max_dev_inside=0.03662137315245672,
+                max_dev_outside=6.45732356474582e-11)
+        L = lattice(3.0, 1, 6.0)
+        X = Divisor(L.centers + (0.3 - 0.2j), 1 + np.arange(len(L)) % 2)
+        W = Region.rectangle(-5.1, 4.3, -3.7, 5.9, 0.06)
+        assert verify_psi_laplacian(X, W) == LaplacianReport(
+            h=0.06, tol=0.21599999999999997, n_inside=7011, n_outside=8794,
+            max_dev_inside=0.05317259294399277,
+            max_dev_outside=2.511191254939149e-11)
 
     def test_coarse_grid_rejected(self):
         X = Divisor(np.array([0j]), np.array([4]))
