@@ -62,12 +62,15 @@ def _phase(z: np.ndarray, n: int) -> np.ndarray:
 
 def _modulus(z: np.ndarray, n: int) -> np.ndarray:
     """|z|^k e^{-|z|^2/2} / sqrt(k!) for k < n, one row per center, in the
-    log domain so large |z| does not overflow."""
+    log domain so large |z| does not overflow; one (centers x n) buffer."""
     r, k = np.abs(z)[..., None], np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # z = 0 leaves e_0 alone: k log|z| is 0 at k = 0, -inf beyond
-        log_pow = np.where(k > 0, k * np.log(r), 0.0)
-    return np.exp(log_pow - 0.5 * gammaln(k + 1) - 0.5 * r ** 2)
+        out = k * np.log(r)
+    # z = 0 leaves e_0 alone: k log|z| is 0 at k = 0, -inf beyond
+    out[..., 0] = 0.0
+    out -= 0.5 * gammaln(k + 1)
+    out -= 0.5 * r ** 2
+    return np.exp(out, out=out)
 
 
 def coherent_coefficients(z, n: int) -> np.ndarray:
@@ -101,8 +104,9 @@ def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
     if not 1 <= ncols <= n:
         raise ParameterError(f"ncols must lie in [1, {n}], got {ncols}")
     modulus, phase = _modulus(z, n), _phase(z, n)
-    if ncols == 1:
-        return (modulus * phase)[..., None]
+    if ncols == 1:  # in place: a view of rows padded to 32 entries
+        phase *= modulus
+        return phase[..., None]
     x = np.abs(z)[..., None] ** 2
     real = np.zeros((*z.shape, n, ncols))
     # f[d] = D[j + d, j](r) and step[d] = f[d] - D[j - 1 + d, j - 1](r).

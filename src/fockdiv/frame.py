@@ -7,11 +7,13 @@ carries the truncation tail."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import cython_blas
 
 from .divisor import Divisor
 from .errors import (NotInterpolatingError, ParameterError, ResourceError,
@@ -25,6 +27,9 @@ RANK_RTOL = 1e-12
 # Rows per block: bounds the temporaries of the row build and of the Gram
 # and squared-norm sums, whatever the node count.
 ROW_BLOCK = 256
+# A block enters the Gram on the columns holding an entry with
+# |P_ij|^2 >= WINDOW_FLOOR max|P|^2, i.e. |P_ij| >= eps^2 max|P|.
+WINDOW_FLOOR = np.finfo(float).eps ** 4
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,10 @@ def _row_blocks(divisor: Divisor, truncation: int):
     """(row indices, jet orders, conj(R) on those rows), one block of at
     most ROW_BLOCK rows (or one node's) per displacement_matrix call: a
     node of multiplicity m gives the first min(m, truncation) columns of
-    its displacement matrix, unconjugated, as its rows."""
+    its displacement matrix, unconjugated, as its rows.  The nodes of each
+    multiplicity run by increasing |center| (stable), so a block's rows
+    peak at nearby degrees: the row of a node lambda lives near degree
+    |lambda|^2.  The generator keeps no reference to a block it yielded."""
     # Internal weight normalization: center z at weight alpha behaves like
     # sqrt(alpha) z at weight 1, multiplicities unchanged.
     centers = math.sqrt(divisor.alpha) * divisor.centers
@@ -63,14 +71,15 @@ def _row_blocks(divisor: Divisor, truncation: int):
     first_row = np.cumsum(mults) - mults
     for m in np.unique(mults):
         nodes = np.flatnonzero(mults == m)
+        nodes = nodes[np.argsort(np.abs(centers[nodes]), kind="stable")]
         width = int(min(m, truncation))
         per_block = max(1, ROW_BLOCK // width)
         for i in range(0, nodes.size, per_block):
             block = nodes[i:i + per_block]
-            d = displacement_matrix(centers[block], truncation, width)
             yield ((first_row[block, None] + np.arange(width)).ravel(),
                    np.tile(np.arange(width), block.size),
-                   d.swapaxes(1, 2).reshape(-1, truncation))
+                   displacement_matrix(centers[block], truncation, width)
+                   .swapaxes(1, 2).reshape(-1, truncation))
 
 
 def restriction_matrix(divisor: Divisor, truncation: int) -> np.ndarray:
@@ -93,11 +102,58 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> np.ndarray:
     return rows
 
 
-def _row_mass(rows: np.ndarray, cuts: list[int]) -> np.ndarray:
+def _row_mass(mass: np.ndarray, cuts: list[int]) -> np.ndarray:
     """Squared norm of each row's first N entries, one column per N in the
-    ascending cuts, summed over the segments between them."""
-    return np.cumsum(np.add.reduceat(np.abs(rows[:, :cuts[-1]]) ** 2,
-                                     [0, *cuts[:-1]], axis=1), axis=1)
+    ascending cuts (the last one mass's width), summed over the segments
+    between them; mass holds the squared moduli of the rows' entries."""
+    return np.cumsum(np.add.reduceat(mass, [0, *cuts[:-1]], axis=1), axis=1)
+
+
+def _blas_zherk():
+    """BLAS zherk (the one scipy.linalg.blas wraps) as a C function of raw
+    pointers: with the leading dimensions of its own, it updates a
+    sub-block of a larger Gram in place, where the f2py wrapper copies
+    any sub-block it is given, in and out.  The pointer comes from the
+    table of C functions that the Cython module cython_blas exports,
+    each named by its C signature, checked here before any call."""
+    capsule = cython_blas.__pyx_capi__["zherk"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    if not name.startswith(b"void (char *, char *, int *, int *, "):
+        raise ImportError(f"unexpected zherk signature {name!r}")
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    c_int, c_double = ctypes.POINTER(ctypes.c_int), \
+        ctypes.POINTER(ctypes.c_double)
+    return ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_char_p, c_int, c_int, c_double,
+        ctypes.c_void_p, c_int, c_double, ctypes.c_void_p, c_int)(address)
+
+
+_ZHERK = _blas_zherk()
+
+
+def _herk(gram: np.ndarray, part: np.ndarray, lo: int, hi: int) -> None:
+    """gram[lo:hi, lo:hi] += part[:, lo:hi]^T conj(part[:, lo:hi]) in
+    place, lower triangle: with gram Fortran-ordered and the rows of part
+    contiguous (part is copied if they are not), the window of each is a
+    Fortran matrix at an offset."""
+    lda, pad = divmod(part.strides[0], part.itemsize)
+    if not (part.dtype == complex and part.strides[1] == part.itemsize
+            and pad == 0 and lda >= part.shape[1]):
+        part = np.ascontiguousarray(part, dtype=complex)
+        lda = part.shape[1]
+    if not (gram.flags.f_contiguous and gram.dtype == complex
+            and 0 <= lo < hi <= min(*gram.shape, part.shape[1])):
+        raise ValueError("zherk operands do not fit the window")
+    n, k, lda, ldc = (ctypes.c_int(v) for v in
+                      (hi - lo, len(part), lda, len(gram)))
+    one, ref = ctypes.c_double(1.0), ctypes.byref
+    _ZHERK(b"L", b"N", ref(n), ref(k), ref(one),
+           part.ctypes.data + part.itemsize * lo, ref(lda), ref(one),
+           gram.ctypes.data + gram.itemsize * lo * (len(gram) + 1), ref(ldc))
 
 
 def _tail(mass: np.ndarray) -> float:
@@ -143,7 +199,19 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     held until the ascending walk over the N reaches it; A <= N eps B,
     below eigvalsh's resolution, reads 0.  Otherwise R, at most N x N, is
     stored, conjugated, and R(N) goes to _svd_report as one block.
-    Memory: N^2 entries and the held rows, whatever the node count."""
+    Memory: N^2 entries and the held rows, whatever the node count.
+
+    A part P of r rows (a block's live rows, or held rows as they become
+    live) enters the Gram only on [lo, hi), the fewest columns that hold
+    every entry with |P_ij| >= eps^2 max|P|.  The dropped rest E has
+    ||E||_F <= eps^2 sqrt(r N) max|P| <= eps^2 sqrt(r N B), as
+    max|P| <= ||P||_2 <= sqrt(B) with B the largest eigenvalue at the
+    widest tall N, and P* P moves by P'* E + E* P' + E* E, P' = P - E.  So
+    by Weyl every eigenvalue of every G_N moves by at most
+    3 eps^2 B sum sqrt(r N) <= 3 eps^2 B sqrt(c M N) over c parts of M
+    rows in all: 7e-28 B on the 3,000-node lattice at N = 600, some 1e14
+    times below N eps B.  The floor is relative to each part's largest
+    entry, so nodes far from the origin keep their small B."""
     truncations = [int(n) for n in truncations]
     if min(truncations, default=1) < 1:
         raise ParameterError(
@@ -162,30 +230,38 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
                             f"(cap {MAX_ENTRIES})")
     rows = np.zeros((total, top), dtype=complex) if total <= top else None
     gram = np.zeros((width, width), dtype=complex, order="F")
-    held, loss = [], np.zeros(len(cuts))  # held: (orders, rows) pairs
+    held, loss = [], np.zeros(len(cuts))  # held: (orders, rows, |rows|^2)
 
-    def enter(part):  # gram += part^T conj(part) in place, lower triangle
-        if width:
-            linalg.blas.zherk(1.0, part.T, beta=1.0, c=gram, lower=1,
-                              overwrite_c=1)
+    def enter(part, mass):  # mass = |part|^2; see the window rule above
+        if width and len(part):
+            peak = mass[:, :width].max(axis=0)
+            live = np.flatnonzero(peak >= WINDOW_FLOOR * peak.max())
+            _herk(gram, part, int(live[0]), int(live[-1]) + 1)
     for index, orders, block in _row_blocks(divisor, top):
         if rows is not None:
             rows[index] = block.conj()
+        mass = np.abs(block)
+        mass *= mass
         loss = np.maximum(loss, np.where(
             orders[:, None] < np.array(cuts),
-            1.0 - _row_mass(block, cuts), 0.0).max(axis=0))
-        enter(block[orders < first, :width])
+            1.0 - _row_mass(mass, cuts), 0.0).max(axis=0))
         late = (orders >= first) & (orders < width)
-        held.append((orders[late], block[late, :width]))
-    del block  # up to ROW_BLOCK rows the eigensolves do not need
+        if late.any():
+            held.append((orders[late], block[late, :width],
+                         mass[late, :width]))
+        if not (orders < first).all():
+            block, mass = block[orders < first], mass[orders < first]
+        enter(block, mass)
+        del block, mass  # freed before the next block is built
     reports, prev = {}, first
     for n, loss_n in zip(cuts, loss):
         tail = min(1.0, float(loss_n))
         if n not in tall:  # total multiplicity <= N, so no row is cut
             reports[n] = _svd_report(n, [rows[:, :n]], tail)
             continue
-        for orders, part in held:
-            enter(part[(orders >= prev) & (orders < n)])
+        for orders, part, mass in held:
+            live = (orders >= prev) & (orders < n)
+            enter(part[live], mass[live])
         prev = n
         # scipy's, on zherk's OpenBLAS: numpy's wheel has its own, and its
         # idle threads slowed each eigensolve 3x on two cores

@@ -240,12 +240,18 @@ def verify_psi_laplacian(divisor: Divisor, window: Region
     psi = alpha |z|^2 + v: Laplacian 0 inside each disc off the center
     (the point mass lives at the center only) and 4 alpha outside all
     discs.  Points near centers, disc boundaries, or the window edge are
-    excluded (the stencil is invalid across the C^1 interface)."""
+    excluded (the stencil is invalid across the C^1 interface).  Requires
+    pairwise disjoint discs: where k of them overlap the Laplacian is
+    4 alpha (1 - k)."""
     h = window.h
     tol = 60.0 * h * h
     if tol > 0.5:
         raise ParameterError(
             f"resolution too coarse: stencil error bound {tol:.3g} > 0.5")
+    ok, worst = disjointness_check(divisor, 0.0)
+    if not ok:
+        raise PreconditionError(
+            f"discs overlap: pair {worst[:2]} by {worst[2]:.3g}")
     zs = window.mesh()
     flat = zs.ravel()
     # The log singularity at each center has fourth derivative of order

@@ -3,6 +3,7 @@
 import configparser
 import math
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import mpmath as mp
@@ -12,16 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+import fockdiv.frame as fr
 from conftest import child_peak_rss_mb, frame_oracle, random_divisor
 from fockdiv.divisor import (Divisor, Region, lattice, overlap_constant,
                              radial_rings)
 from fockdiv.errors import (NotInterpolatingError, ParameterError,
                             ResourceError, VerificationError)
 from fockdiv.fock import CoefVec, coherent_coefficients, restriction_values
-from fockdiv.frame import (RANK_RTOL, FrameReport, _row_blocks,
-                           frame_bounds, frame_sweep, interpolation_constant,
-                           interpolation_witness, restriction_matrix,
-                           sampling_defect_path, symmetric_pair_report)
+from fockdiv.frame import (RANK_RTOL, ROW_BLOCK, WINDOW_FLOOR, FrameReport,
+                           _row_blocks, frame_bounds, frame_sweep,
+                           interpolation_constant, interpolation_witness,
+                           restriction_matrix, sampling_defect_path,
+                           symmetric_pair_report)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -304,6 +307,118 @@ class TestFrameSweep:
             assert rep.tail_bound == pytest.approx(tail, rel=1e-12, abs=0.0)
             assert abs(rep.lower - lower) <= 1e-12 * upper
             assert math.isinf(rep.mx)
+
+    @staticmethod
+    def record_updates(monkeypatch):
+        """Every Gram update of the next sweeps, as (gram width, part, lo,
+        hi), each passed on to the real one."""
+        seen, herk = [], fr._herk
+
+        def record(gram, part, lo, hi):
+            seen.append((len(gram), np.array(part), lo, hi))
+            herk(gram, part, lo, hi)
+        monkeypatch.setattr(fr, "_herk", record)
+        return seen
+
+    def test_window_gram_against_dense_oracle(self, monkeypatch):
+        # the windowed Gram at N = 240 on the holed lattice against R* R
+        # from the stored R: they differ by the dropped entries (at most
+        # 3 eps^2 B sqrt(c M N) in norm, see frame_sweep) and by the
+        # rounding of two Gram sums, each within gamma_{M+2} |R|^T |R|
+        # entrywise (complex inner products, u = eps/2)
+        X, n = lattice(1.0, 1, 12, hole_radius=3.0), 240
+        grams, eigvalsh = [], linalg.eigvalsh
+
+        def capture(a, **kwargs):
+            grams.append(np.array(a))
+            return eigvalsh(a, **kwargs)
+        monkeypatch.setattr(fr.linalg, "eigvalsh", capture)
+        seen = self.record_updates(monkeypatch)
+        [rep] = frame_sweep(X, [n])
+        monkeypatch.undo()
+        lower = np.tril(grams[0])
+        gram = lower + np.tril(lower, -1).conj().T
+        r = restriction_matrix(X, n)
+        eps, rows = np.finfo(float).eps, len(r)
+        assert sum(len(part) for _, part, _, _ in seen) == rows
+        window = 3 * eps ** 2 * rep.upper * math.sqrt(len(seen) * rows * n)
+        u = (rows + 2) * eps / 2
+        rounding = 2 * u / (1 - u) * np.linalg.norm(
+            np.abs(r).T @ np.abs(r), 2)
+        gap = np.linalg.norm(gram - r.conj().T @ r, 2)
+        assert gap <= window + rounding
+        assert window < 1e-25 * rep.upper
+        # measured 6.6e-15: inside the floor N eps B below which A reads 0
+        assert gap < n * eps * rep.upper
+
+    def test_window_drops_within_stated_bound(self, monkeypatch):
+        # each part enters on the fewest columns holding every entry with
+        # |P_ij| >= eps^2 max|P|; the rest E meets ||E||_F <= eps^2
+        # sqrt(r N) max|P|, and the Weyl sum of the eigenvalue shifts,
+        # 3 sum ||P||_2 ||E||_F, meets 3 eps^2 B sqrt(c M N)
+        X, n = lattice(1.0, 1, 12, hole_radius=3.0), 240
+        seen = self.record_updates(monkeypatch)
+        [rep] = frame_sweep(X, [n])
+        eps, shift = np.finfo(float).eps, 0.0
+        for width, part, lo, hi in seen:
+            part = part[:, :width]
+            mass = np.abs(part) ** 2
+            floor = WINDOW_FLOOR * mass.max()
+            assert mass[:, lo].max() >= floor
+            assert mass[:, hi - 1].max() >= floor
+            dropped = part.copy()
+            dropped[:, lo:hi] = 0
+            assert (np.abs(dropped) ** 2 < floor).all()
+            frob = np.linalg.norm(dropped)
+            assert frob <= eps ** 2 * math.sqrt(part.size) * \
+                np.abs(part).max()
+            shift += 3 * np.linalg.norm(part, 2) * frob
+        assert any(hi - lo < width for width, _, lo, hi in seen)
+        rows = sum(len(part) for _, part, _, _ in seen)
+        assert shift <= 3 * eps ** 2 * rep.upper * math.sqrt(
+            len(seen) * rows * n)
+
+    def test_far_cluster_keeps_its_small_b(self):
+        # 702 nodes within 1.1 of c = 36 at N = 600: every entry of R is
+        # below 1e-40, so a floor set by anything but each part's own
+        # largest entry would drop them all and read B = 0
+        grid = 0.08 * np.arange(-13, 14)
+        X = Divisor((36.0 + grid[:, None] + 1j * grid[None, :26]).ravel(),
+                    np.ones(27 * 26, dtype=int))
+        assert np.abs(restriction_matrix(X, 600)).max() < 1e-40
+        [rep] = frame_sweep(X, [600])
+        want = frame_oracle(X, 600)
+        assert 0.0 < rep.upper < 1e-80
+        assert rep.upper == pytest.approx(want["upper"], rel=1e-10, abs=0.0)
+        assert rep.lower == want["lower"] == 0.0
+
+    @pytest.mark.parametrize("X, truncations", [
+        # tall at every N, tied radii, mixed multiplicities
+        (Divisor(lattice(1.0, 1, 4.0).centers,
+                 1 + np.arange(81) % 3 // 2), [10, 20, 40]),
+        # tall, square (N = 10) and wide
+        (Divisor(np.array([0j, 2.5, 2.5j, -2.5, -2.5j, 1.8 + 1.8j]),
+                 np.array([3, 1, 2, 1, 2, 1])), [5, 10, 16])])
+    def test_node_order(self, X, truncations):
+        # the rows run by radius inside the sweep, and R keeps input order:
+        # a shuffled divisor gives the same reports
+        perm = np.random.default_rng(7).permutation(len(X))
+        shuffled = Divisor(X.centers[perm], X.mults[perm], X.alpha)
+        for rep, other in zip(frame_sweep(X, truncations),
+                              frame_sweep(shuffled, truncations)):
+            for a, b in zip(astuple(rep), astuple(other)):
+                assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+
+    def test_window_keeps_dropping(self, monkeypatch):
+        # the sampling lattice at N = 150 to 600: the windows hold 0.48 of
+        # the full-width work, rows x columns^2, one update per row block
+        # and none for the held rows (there are none)
+        X = lattice(1.0, 1, 27, hole_radius=3.0)
+        seen = self.record_updates(monkeypatch)
+        frame_sweep(X, [150, 300, 450, 600])
+        work = sum(len(part) * (hi - lo) ** 2 for _, part, lo, hi in seen)
+        assert len(seen) == math.ceil(len(X) / ROW_BLOCK)
+        assert work < 0.5 * len(X) * 600 ** 2
 
     def test_empty_truncation_list(self):
         X = Divisor(np.array([0j]), np.array([2]))

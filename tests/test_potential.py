@@ -11,7 +11,8 @@ from scipy import integrate
 import fockdiv.potential as pt
 from conftest import (child_peak_rss_mb, radial_glue_errors,
                       ring_log_oracle)
-from fockdiv.divisor import Divisor, Region, lattice
+from fockdiv.divisor import (Divisor, Region, disjointness_check, lattice,
+                             radial_rings)
 from fockdiv.errors import (DomainError, ParameterError, PreconditionError,
                              VerificationError)
 from fockdiv.fock import CoefVec
@@ -257,12 +258,21 @@ class TestPsiLaplacian:
         with pytest.raises(ParameterError):
             verify_psi_laplacian(X, Region.disc(5.0, 0.5))
 
+    def test_overlapping_discs_rejected(self):
+        # the centre disc (radius 2) overlaps the inner ring's (radius
+        # sqrt 2) by 1.414, and the Laplacian there is -4, not 0: reported
+        # as max_dev_inside 8.01 against tol 0.15 when the overlap passed
+        X = radial_rings([2, 4], [2, 3], include_center=True, center_mult=4)
+        assert disjointness_check(X, 0.0)[0] is False
+        with pytest.raises(PreconditionError, match="discs overlap"):
+            verify_psi_laplacian(X, Region.disc(6.0, 0.05))
+
     def test_bounded_memory(self):
-        # 524 nodes on a 445 x 445 mesh: points x nodes complex arrays
-        # alone would take 1.7 GB
+        # 620 disjoint unit discs on a 445 x 445 mesh: points x nodes
+        # complex arrays alone would take 2 GB
         code = ("from fockdiv.divisor import Region, lattice\n"
                 "from fockdiv.potential import verify_psi_laplacian\n"
-                "verify_psi_laplacian(lattice(1.8, 2, 20.0, hole_radius=2.5),"
+                "verify_psi_laplacian(lattice(2.1, 1, 25.2, hole_radius=2.5),"
                 " Region.disc(20.0, 0.09))\n")
         assert child_peak_rss_mb(code) < 400
 
