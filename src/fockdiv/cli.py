@@ -148,36 +148,27 @@ def cmd_uniqueness(cfg) -> dict[str, list[str]]:
             "uniqueness_summary.csv": summary}
 
 
-def dichotomy_point(mult: int, param: float) -> tuple[int, float, float]:
-    """(truncation, lower frame bound A, interpolation constant M_X) for
-    the symmetric two-node divisor at +/- param * sqrt(mult), param > 0,
-    each node of multiplicity mult, at the critical truncation
-    N = 2 * mult.
-
-    At critical truncation the restriction matrix is square: the divisor
-    can only be simultaneously well-sampling and well-interpolating if
-    that matrix is well conditioned, and the conditioning collapses as
-    the multiplicity grows no matter where the nodes sit.  R splits by
-    parity into two real mult x mult blocks (symmetric_pair_report)."""
-    report = fr.symmetric_pair_report(param * math.sqrt(mult), mult, 2 * mult)
-    return 2 * mult, report.lower, report.mx
-
-
 def dichotomy_sweep(mults, params) -> list[dict]:
-    """Trade-off table over the two-node family, one row per
-    (multiplicity, parameter): no parameter keeps both 1/A and M_X small
-    once the multiplicity grows.  Rank rule: where sigma_min/sigma_max of
-    the square restriction matrix is at most 1e-12, the row holds A = 0
-    and M_X = inf; such a row is not a measurement."""
+    """Trade-off table over the symmetric two-node family, one row per
+    (multiplicity m, parameter p > 0): nodes at +/- p sqrt(m), each of
+    multiplicity m, at the critical truncation N = 2m.  There R is square:
+    the divisor can only be simultaneously well-sampling and
+    well-interpolating if R is well conditioned, and the conditioning
+    collapses as m grows no matter where the nodes sit, so no parameter
+    keeps both 1/A and M_X small.  R splits by parity into two real m x m
+    blocks (symmetric_pair_report).  Rank rule: where sigma_min/sigma_max
+    of R is at most 1e-12, the row holds A = 0 and M_X = inf; such a row
+    is not a measurement."""
     rows = []
     for mult in mults:
         for p in params:
-            n, lower, mx = dichotomy_point(mult, p)
-            inv_a = math.inf if lower <= 0 else 1.0 / lower
+            report = fr.symmetric_pair_report(p * math.sqrt(mult), mult,
+                                              2 * mult)
+            inv_a = math.inf if report.lower <= 0 else 1.0 / report.lower
             rows.append({
-                "multiplicity": int(mult), "param": float(p), "N": n,
-                "A": lower, "MX": mx, "inv_A": inv_a,
-                "max_metric": max(inv_a, mx),
+                "multiplicity": int(mult), "param": float(p),
+                "N": report.truncation, "A": report.lower, "MX": report.mx,
+                "inv_A": inv_a, "max_metric": max(inv_a, report.mx),
             })
     return rows
 

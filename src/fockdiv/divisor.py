@@ -28,8 +28,21 @@ _REACH_PAD = 1.0 + 1e-9
 _SCAN_CHUNK = 1 << 15
 # Largest center modulus: squared distances stay finite below it.
 _CENTER_LIMIT = 1e150
-# Largest scan lattice of Region.mesh, in points (64 MB as complex).
+# Largest scan lattice of Region.mesh, and largest lattice or ring family,
+# in points (64 MB as complex).
 MAX_GRID_POINTS = 4_000_000
+
+
+def _check_size(points, what: str) -> None:
+    """ResourceError, before any allocation, above MAX_GRID_POINTS."""
+    if points > MAX_GRID_POINTS:
+        raise ResourceError(f"{what} of {points:.0f} points exceeds the cap "
+                            f"of {MAX_GRID_POINTS}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +63,7 @@ class Divisor:
             raise DomainError("multiplicities must be >= 1")
         if not np.all(np.abs(centers) <= _CENTER_LIMIT):
             raise DomainError(f"|center| must be finite, <= {_CENTER_LIMIT:g}")
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if centers.size != np.unique(centers).size:
             raise ParameterError("centers must be pairwise distinct")
         object.__setattr__(self, "centers", centers)
@@ -119,10 +131,13 @@ def lattice(spacing: float, mult: int, extent: float, alpha: float = 1.0,
             hole_radius: float = 0.0) -> Divisor:
     """Square lattice of constant multiplicity within |Re|,|Im| <= extent,
     optionally with the nodes inside a centered hole removed."""
+    if not all(map(math.isfinite, (spacing, extent, hole_radius))):
+        raise DomainError("spacing, extent and hole_radius must be finite")
     if spacing <= 0 or extent <= 0:
         raise ParameterError("spacing and extent must be positive")
-    n = int(math.floor(extent / spacing))
-    coords = spacing * np.arange(-n, n + 1)
+    n = np.floor(extent / spacing)  # in floats: a tiny spacing gives inf
+    _check_size((2 * n + 1) ** 2, "lattice")
+    coords = spacing * np.arange(-int(n), int(n) + 1)
     xs, ys = np.meshgrid(coords, coords)
     centers = (xs + 1j * ys).ravel()
     if hole_radius > 0:
@@ -136,16 +151,23 @@ def radial_rings(ring_radii, ring_mults, counts=None, alpha: float = 1.0,
                  include_center: bool = False, center_mult: int = 1) -> Divisor:
     """Nodes equally spaced on concentric rings; by default each ring gets
     enough nodes for adjacent discs to overlap along the ring."""
-    centers, mults = [], []
-    if include_center:
-        centers.append(0.0 + 0.0j)
-        mults.append(center_mult)
-    for i, (radius, m) in enumerate(zip(ring_radii, ring_mults)):
-        r_disc = math.sqrt(m / alpha)
-        if counts is None:
-            count = max(1, int(math.ceil(math.pi * radius / r_disc)))
-        else:
-            count = counts[i]
+    _check_alpha(alpha)
+    if not all(map(math.isfinite, ring_radii)) or min(ring_mults,
+                                                      default=1) < 1:
+        raise DomainError(f"ring radii must be finite and multiplicities "
+                          f">= 1, got {ring_radii!r}, {ring_mults!r}")
+    if len(ring_mults) != len(ring_radii) or (
+            counts is not None and len(counts) != len(ring_radii)):
+        raise ParameterError("ring radii, multiplicities and counts differ "
+                             "in length")
+    if counts is None:  # in floats, where a count may overflow to inf
+        with np.errstate(over="ignore"):
+            counts = np.maximum(1, np.ceil(
+                np.pi * np.asarray(ring_radii, float)
+                / np.sqrt(np.divide(ring_mults, alpha))))
+    _check_size(sum(counts) + include_center, "ring family")
+    centers, mults = ([0j], [center_mult]) if include_center else ([], [])
+    for radius, m, count in zip(ring_radii, ring_mults, map(int, counts)):
         angles = 2 * np.pi * np.arange(count) / count
         for ang in angles:
             centers.append(radius * complex(math.cos(ang), math.sin(ang)))
@@ -188,16 +210,18 @@ class Region:
     def rectangle(cls, xmin, xmax, ymin, ymax, h) -> "Region":
         return cls(kind="rect", h=h, rect=(xmin, xmax, ymin, ymax))
 
+    @property
+    def bounds(self) -> tuple:
+        """(xmin, xmax, ymin, ymax) of the bounding box."""
+        r = self.radius
+        return self.rect or (-r, r, -r, r)
+
     def mesh(self) -> np.ndarray:
         """The scan lattice over the bounding box, as a 2-D array; more than
         MAX_GRID_POINTS points raise ResourceError before any allocation."""
-        r, h = self.radius, self.h
-        xmin, xmax, ymin, ymax = self.rect or (-r, r, -r, r)
-        size = (math.ceil((xmax + h / 2 - xmin) / h)
-                * math.ceil((ymax + h / 2 - ymin) / h))
-        if size > MAX_GRID_POINTS:
-            raise ResourceError(f"scan lattice of {size:.3g} points exceeds "
-                                f"the cap of {MAX_GRID_POINTS}")
+        (xmin, xmax, ymin, ymax), h = self.bounds, self.h
+        _check_size(math.ceil((xmax + h / 2 - xmin) / h)
+                    * math.ceil((ymax + h / 2 - ymin) / h), "scan lattice")
         gx, gy = np.meshgrid(np.arange(xmin, xmax + h / 2, h),
                              np.arange(ymin, ymax + h / 2, h))
         return gx + 1j * gy
@@ -242,9 +266,7 @@ def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float,
         raise PreconditionError(f"scan points are not on a mesh of step {h:g}")
     k0 = ik.min(axis=1, keepdims=True)
     n = ik.max(axis=1, keepdims=True) - k0 + 1
-    if n.prod() > MAX_GRID_POINTS:
-        raise ResourceError(f"scan points span {n.prod():.3g} mesh cells, "
-                            f"over the cap of {MAX_GRID_POINTS}")
+    _check_size(n.prod(), "mesh spanned by the scan points")
     nx = int(n[0, 0])
     cell = ((ik[1] - k0[1]) * nx + ik[0] - k0[0]).astype(np.intp)
     table = np.full(int(n.prod()), -1)
@@ -524,8 +546,9 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
     collar = float(divisor.radii.max()) if len(divisor) else 0.0
     pts = window.grid()
     pts = pts[window.contains(pts, collar)]
-    edge = (window.radius - collar - window.h if window.kind == "disc"
-            else math.inf)
+    # the largest centred disc inside the scanned points, less one step
+    xmin, xmax, ymin, ymax = window.bounds
+    edge = min(-xmin, xmax, -ymin, ymax) - collar - window.h
     scans = {}
     for C in c_list:
         if _uncovered_radius(divisor, C, pts, window.h, edge, scans) is None:

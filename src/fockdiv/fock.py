@@ -74,13 +74,10 @@ def _modulus(z: np.ndarray, n: int) -> np.ndarray:
 
 
 def coherent_coefficients(z, n: int) -> np.ndarray:
-    """Coefficients of T_z 1: conj(z)^k e^{-|z|^2/2} / sqrt(k!), _modulus
-    times _phase.  z is one center (result shape (n,)) or an array of them
-    (one row of n coefficients per center)."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-    z = np.asarray(z, dtype=complex)
-    return _modulus(z, n) * _phase(z, n)
+    """Coefficients of T_z 1: conj(z)^k e^{-|z|^2/2} / sqrt(k!), column 0
+    of displacement_matrix.  z is one center (result shape (n,)) or an
+    array of them (one row of n coefficients per center)."""
+    return displacement_matrix(z, n, 1)[..., 0]
 
 
 def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
@@ -156,8 +153,6 @@ def basis_disc_norm(k: int, radius: float) -> float:
 def kernel_sampling_energy(z: complex, divisor) -> float:
     """Total quotient-norm energy of the normalized kernel T_z 1 against the
     divisor: sum over nodes of omega_{m-1}(alpha |z - center|^2)."""
-    if len(divisor) == 0:
-        return 0.0
     rho_sq = divisor.alpha * np.abs(z - divisor.centers) ** 2
     return float(omega(divisor.mults - 1, rho_sq).sum())
 
@@ -166,15 +161,9 @@ def disc_local_norm_sq(f: CoefVec, center: complex, radius: float) -> float:
     """Integral of |f|^2 d(mu) over the disc D(center, radius), up to the
     truncation tail: recenter and weight squared coefficients by the basis
     disc masses."""
-    if radius < 0:
-        raise DomainError(f"radius must be nonnegative, got {radius!r}")
     n = f.degree_bound
-    if center == 0:
-        b = f.coeffs
-    else:
-        b = restriction_values(f, center, n)
-    ks = np.arange(n)
-    weights = sigma(ks, radius * radius)
+    weights = basis_disc_norm(np.arange(n), radius)
+    b = f.coeffs if center == 0 else restriction_values(f, center, n)
     return float(np.sum(np.abs(b) ** 2 * weights))
 
 

@@ -158,7 +158,7 @@ def _herk(gram: np.ndarray, part: np.ndarray, lo: int, hi: int) -> None:
 
 def _tail(mass: np.ndarray) -> float:
     """Largest unit mass a represented jet functional loses to the
-    truncation."""
+    truncation, from the masses its rows keep (or the smallest of them)."""
     return min(1.0, float(np.max(1.0 - mass, initial=0.0)))
 
 
@@ -190,7 +190,7 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     from one pass over the row blocks of the restriction matrix R at the
     largest N.  Its entries do not depend on N (row truncation is exact),
     so R(N) is its first N columns with the rows of order k >= N set to
-    zero; each block updates every N's tail.
+    zero; each block updates every N's smallest live-row mass.
 
     With more rows than columns M_X is inf and A, B are the extreme
     eigenvalues of G_N = R(N)* R(N), the leading N x N block of one
@@ -230,7 +230,7 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
                             f"(cap {MAX_ENTRIES})")
     rows = np.zeros((total, top), dtype=complex) if total <= top else None
     gram = np.zeros((width, width), dtype=complex, order="F")
-    held, loss = [], np.zeros(len(cuts))  # held: (orders, rows, |rows|^2)
+    held, least = [], np.ones(len(cuts))  # held: (orders, rows, |rows|^2)
 
     def enter(part, mass):  # mass = |part|^2; see the window rule above
         if width and len(part):
@@ -242,9 +242,9 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
             rows[index] = block.conj()
         mass = np.abs(block)
         mass *= mass
-        loss = np.maximum(loss, np.where(
+        least = np.minimum(least, np.where(
             orders[:, None] < np.array(cuts),
-            1.0 - _row_mass(mass, cuts), 0.0).max(axis=0))
+            _row_mass(mass, cuts), 1.0).min(axis=0))
         late = (orders >= first) & (orders < width)
         if late.any():
             held.append((orders[late], block[late, :width],
@@ -254,8 +254,7 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
         enter(block, mass)
         del block, mass  # freed before the next block is built
     reports, prev = {}, first
-    for n, loss_n in zip(cuts, loss):
-        tail = min(1.0, float(loss_n))
+    for n, tail in zip(cuts, map(_tail, least)):
         if n not in tall:  # total multiplicity <= N, so no row is cut
             reports[n] = _svd_report(n, [rows[:, :n]], tail)
             continue

@@ -42,55 +42,47 @@ def sigma(k, x):
     return gammainc(k + 1, x)
 
 
-def verify_tail_lower_a(t: float, k_max: int) -> tuple[float, int]:
-    """Empirical lower bound for sigma_k(k - t sqrt(k)) over k0 <= k <= k_max.
-
-    k0 is the smallest k making the argument positive.  Raises if the
-    minimum over the second half of the range decays relative to the first
-    half (the bound is supposed to stabilize, not vanish)."""
+def _check_tail_args(t: float, k_max: int) -> None:
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"t must be a finite nonnegative real, got {t!r}")
     if k_max < 10:
         raise ParameterError(f"k_max must be at least 10, got {k_max}")
+
+
+def _tail_floor(vals: np.ndarray, label: str, ratio: float) -> float:
+    """Minimum of the tail values vals, which must be positive and must
+    not decay: the second half's minimum is at least ratio times the
+    first half's (the bound is supposed to stabilize, not vanish)."""
+    eps = float(vals.min())
+    if eps <= 0.0:
+        raise VerificationError(f"tail lower bound ({label}) is not positive")
+    half = vals.size // 2
+    if half >= 1:
+        lo, hi = float(vals[:half].min()), float(vals[half:].min())
+        if hi < ratio * lo:
+            raise VerificationError(
+                f"tail lower bound ({label}) decays: first half {lo:.3g}, "
+                f"second half {hi:.3g}")
+    return eps
+
+
+def verify_tail_lower_a(t: float, k_max: int) -> tuple[float, int]:
+    """Empirical lower bound for sigma_k(k - t sqrt(k)) over k0 <= k <= k_max,
+    k0 the smallest k making the argument positive; see _tail_floor."""
+    _check_tail_args(t, k_max)
     k0 = int(math.floor(t * t)) + 1
     if k0 > k_max:
         raise ParameterError(
             f"k - t*sqrt(k) <= 0 for every k <= {k_max}: empty range")
     ks = np.arange(k0, k_max + 1)
-    xs = ks - t * np.sqrt(ks)
-    vals = sigma(ks, xs)
-    eps = float(vals.min())
-    if eps <= 0.0:
-        raise VerificationError("tail lower bound (a) is not positive")
-    half = ks.size // 2
-    if half >= 1:
-        lo, hi = float(vals[:half].min()), float(vals[half:].min())
-        if hi < 0.9 * lo:
-            raise VerificationError(
-                f"tail lower bound (a) decays: first half {lo:.3g}, "
-                f"second half {hi:.3g}")
-    return eps, k0
+    return _tail_floor(sigma(ks, ks - t * np.sqrt(ks)), "a", 0.9), k0
 
 
 def verify_tail_lower_b(t: float, k_max: int) -> float:
     """Empirical lower bound for omega_k(k + t sqrt(k)) over 0 <= k <= k_max."""
-    if t < 0 or not math.isfinite(t):
-        raise DomainError(f"t must be a finite nonnegative real, got {t!r}")
-    if k_max < 10:
-        raise ParameterError(f"k_max must be at least 10, got {k_max}")
+    _check_tail_args(t, k_max)
     ks = np.arange(0, k_max + 1)
-    xs = ks + t * np.sqrt(ks)
-    vals = omega(ks, xs)
-    eps = float(vals.min())
-    if eps <= 0.0:
-        raise VerificationError("tail lower bound (b) is not positive")
-    half = ks.size // 2
-    lo, hi = float(vals[:half].min()), float(vals[half:].min())
-    if hi < 0.8 * lo:
-        raise VerificationError(
-            f"tail lower bound (b) decays: first half {lo:.3g}, "
-            f"second half {hi:.3g}")
-    return eps
+    return _tail_floor(omega(ks, ks + t * np.sqrt(ks)), "b", 0.8)
 
 
 def find_tail_ratio_t(epsilon: float) -> float:

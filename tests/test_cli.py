@@ -13,7 +13,7 @@ import fockdiv.divisor as dv
 import fockdiv.frame as fr
 from conftest import report_body
 from fockdiv.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_RESOURCE,
-                         dichotomy_point, dichotomy_sweep, main)
+                         dichotomy_sweep, main)
 from fockdiv.divisor import Divisor
 
 GEOMETRY_CFG = """\
@@ -60,6 +60,18 @@ radius = 14
 h = 0.3
 [uniqueness]
 radii = 5,7,9,11
+"""
+
+RINGS_CFG = """\
+[divisor]
+source = rings
+ring_radii = 1.5,3.0
+ring_mults = 2,3
+include_center = yes
+center_mult = 4
+alpha = 2
+[frame]
+truncations = 12,30,60
 """
 
 DICHOTOMY_CFG = """\
@@ -215,6 +227,35 @@ class TestExitCodes:
         code, _ = run(tmp_path, "g", cfg, "geometry")
         assert code == EXIT_RESOURCE
 
+    @pytest.mark.parametrize("old,new", [
+        ("spacing = 1.5", "spacing = nan"), ("extent = 6", "extent = inf"),
+        ("extent = 6", "extent = 6\nalpha = nan"),
+        ("extent = 6", "extent = 6\nalpha = inf"),
+        ("extent = 6", "extent = 6\nhole_radius = nan")])
+    def test_non_finite_lattice(self, tmp_path, capsys, old, new):
+        # each used to exit 1, or for the hole radius to run without a hole
+        cfg = GEOMETRY_CFG.replace(old, new) + "[frame]\ntruncations = 10\n"
+        code, _ = run(tmp_path, "f", cfg, "frame")
+        assert code == EXIT_PRECONDITION
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        ("ring_radii = 1.5,3.0", "ring_radii = 1.5,nan"),
+        ("ring_mults = 2,3", "ring_mults = 2"),
+        ("alpha = 2", "alpha = nan")])
+    def test_bad_rings(self, tmp_path, capsys, old, new):
+        code, _ = run(tmp_path, "f", RINGS_CFG.replace(old, new), "frame")
+        assert code == EXIT_PRECONDITION
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_lattice_over_cap(self, tmp_path, monkeypatch):
+        # 81 nodes at a cap of 80; frame scans no window, so only the
+        # lattice's own count can stop it
+        monkeypatch.setattr(dv, "MAX_GRID_POINTS", 80)
+        code, _ = run(tmp_path, "f",
+                      GEOMETRY_CFG + "[frame]\ntruncations = 10\n", "frame")
+        assert code == EXIT_RESOURCE
+
     @pytest.mark.parametrize("margins", ["nan", "inf", "0,-inf"])
     def test_non_finite_margin(self, tmp_path, margins):
         cfg = GEOMETRY_CFG.replace("margins = 0.0,0.25",
@@ -303,6 +344,21 @@ class TestReports:
         mx = (out / "mx.csv").read_text(encoding="utf-8").splitlines()
         data = [ln for ln in mx if not ln.startswith("#")]
         assert data[0] == "param,MX,N"
+
+    def test_rings_frame_report(self, tmp_path):
+        # source = rings with a centre node and alpha: the rows of
+        # frame_sweep on the same radial_rings divisor (38 rows: two tall
+        # R and one wide)
+        code, out = run(tmp_path, "r", RINGS_CFG, "frame")
+        assert code == EXIT_OK
+        X = dv.radial_rings([1.5, 3.0], [2, 3], alpha=2.0,
+                            include_center=True, center_mult=4)
+        assert X.total_multiplicity == 38
+        reports = fr.frame_sweep(X, [12, 30, 60])
+        assert report_body(out, "frame.csv") == "N,A,B,tail_bound\n" \
+            + "".join(r.csv_row() + "\n" for r in reports)
+        assert report_body(out, "mx.csv") == "param,MX,N\n" + "".join(
+            f"{r.truncation},{r.mx:.12g},{r.truncation}\n" for r in reports)
 
     def test_uniqueness_reports(self, tmp_path):
         code, out = run(tmp_path, "u", UNIQUENESS_CFG, "uniqueness")
@@ -440,10 +496,10 @@ class TestReports:
 
 class TestDichotomyFamily:
     def test_point_shapes(self):
-        n, lower, mx = dichotomy_point(4, 1.0)
-        assert n == 8
-        assert lower >= 0.0
-        assert mx >= 1.0 or math.isinf(mx)
+        [row] = dichotomy_sweep([4], [1.0])
+        assert row["N"] == 8
+        assert row["A"] >= 0.0
+        assert row["MX"] >= 1.0 or math.isinf(row["MX"])
 
     def test_metric_grows_with_multiplicity(self):
         params = [0.6, 0.8, 1.0, 1.2]
@@ -475,7 +531,7 @@ class TestDichotomyFamily:
 
         count("restriction_matrix")
         count("displacement_matrix")
-        dichotomy_point(16, 0.8)
+        dichotomy_sweep([16], [0.8])
         assert calls["restriction_matrix"] == []
         [(args, shape)] = calls["displacement_matrix"]
         assert isinstance(args[0], float) and args[0] > 0

@@ -118,6 +118,62 @@ class TestConstructions:
         gap = 2 * 5.0 * math.sin((ring[1] - ring[0]) / 2)
         assert gap < 2 * 2.0  # adjacent discs of radius 2 overlap
 
+    @pytest.mark.parametrize("bad", [
+        {"spacing": math.nan}, {"extent": math.inf},
+        {"hole_radius": math.nan}, {"alpha": math.nan},
+        {"alpha": math.inf}], ids=str)
+    def test_lattice_rejects_non_finite(self, bad):
+        # a NaN hole radius used to pass silently: nan > 0 is false
+        with pytest.raises(DomainError):
+            lattice(**{"spacing": 1.0, "mult": 1, "extent": 3.0, **bad})
+
+    @pytest.mark.parametrize("bad", [
+        {"ring_radii": [3.0, math.nan]}, {"ring_radii": [math.inf]},
+        {"ring_mults": [2, 0]}, {"alpha": math.nan}, {"alpha": math.inf},
+        {"alpha": 0.0}], ids=str)
+    def test_rings_reject_bad_values(self, bad):
+        with pytest.raises(DomainError):
+            radial_rings(**{"ring_radii": [3.0, 4.0], "ring_mults": [2, 2],
+                            **bad})
+
+    @pytest.mark.parametrize("bad", [
+        {"ring_mults": [2]}, {"ring_mults": [2, 2, 2]}, {"counts": [6]}],
+        ids=str)
+    def test_rings_reject_lists_of_other_lengths(self, bad):
+        # zip used to drop the ring at 4 without a word
+        with pytest.raises(ParameterError):
+            radial_rings(**{"ring_radii": [3.0, 4.0], "ring_mults": [2, 2],
+                            **bad})
+
+    @pytest.mark.parametrize("build", [
+        lambda: lattice(0.005, 1, 5.0),  # 2001^2 = 4,004,001 nodes
+        lambda: lattice(1e-320, 1, 5.0),  # extent / spacing = inf
+        lambda: radial_rings([1.9e6], [2]),  # about 4.2e6 nodes
+        lambda: radial_rings([1e200], [1], alpha=1e300)],  # count = inf
+        ids=["lattice", "lattice-inf", "rings", "rings-inf"])
+    def test_generator_cap_raises_before_allocating(self, build,
+                                                    monkeypatch):
+        # just above MAX_GRID_POINTS: the node count alone must stop it
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("the capped generator allocated its nodes")
+        monkeypatch.setattr(np, "meshgrid", no_alloc)
+        monkeypatch.setattr(np, "arange", no_alloc)
+        with pytest.raises(ResourceError):
+            build()
+
+    def test_generator_cap_is_the_node_count(self, monkeypatch):
+        # 21 x 21 lattice nodes, and 1 + 20 ring nodes, at a cap of 441
+        # and one below it
+        monkeypatch.setattr(dv, "MAX_GRID_POINTS", 441)
+        assert len(lattice(1.0, 1, 10.0)) == 441
+        assert len(radial_rings([5.0], [1], counts=[440],
+                                include_center=True)) == 441
+        monkeypatch.setattr(dv, "MAX_GRID_POINTS", 440)
+        with pytest.raises(ResourceError):
+            lattice(1.0, 1, 10.0)
+        with pytest.raises(ResourceError):
+            radial_rings([5.0], [1], counts=[440], include_center=True)
+
 
 class TestRegion:
     def test_disc_grid_inside(self):
@@ -617,7 +673,11 @@ def dense_uncovered_radius(divisor, C, window, collar):
     if uncovered.size == 0:
         return 0.0
     r = float(np.abs(uncovered).max())
-    if window.kind == "disc" and r >= window.radius - collar - window.h:
+    # the edge is the largest centred disc inside the window minus the
+    # collar, less one step, for a disc or a rectangle alike
+    r0 = window.radius
+    xmin, xmax, ymin, ymax = window.rect or (-r0, r0, -r0, r0)
+    if r >= min(-xmin, xmax, -ymin, ymax) - collar - window.h:
         return None
     return r
 
@@ -661,7 +721,9 @@ class TestThinning:
         X, W, shrinks = case
         pts = W.grid()
         pts = pts[W.contains(pts, collar)]
-        edge = W.radius - collar - W.h if W.kind == "disc" else math.inf
+        r0 = W.radius
+        xmin, xmax, ymin, ymax = W.rect or (-r0, r0, -r0, r0)
+        edge = min(-xmin, xmax, -ymin, ymax) - collar - W.h
         scans = {}
         for C in shrinks:
             assert dv._uncovered_radius(X, C, pts, W.h, edge, scans) \
@@ -669,6 +731,15 @@ class TestThinning:
         node_sets = {(X.radii > C).tobytes() for C in shrinks
                      if (X.radii > C).any()}
         assert len(scans) == (len(node_sets) if pts.size else 0)
+
+    @pytest.mark.parametrize("window", [
+        Region.disc(14.0, 0.2), Region.rectangle(-14, 14, -14, 14, 0.2)],
+        ids=["disc", "rect"])
+    def test_uncovered_set_reaching_the_collar_raises(self, window):
+        # the 81 nodes cover only |Re|, |Im| <= 6 + sqrt(2): on a disc or
+        # a rectangle alike, the uncovered set reaches the collar
+        with pytest.raises(PreconditionError):
+            thin_subdivisor(lattice(1.5, 2, 6.0), window, [0.0])
 
     def test_subset_property(self):
         base = self._big_family()
