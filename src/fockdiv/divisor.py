@@ -179,45 +179,34 @@ def radial_rings(ring_radii, ring_mults, counts=None, alpha: float = 1.0,
 
 @dataclass(frozen=True)
 class Region:
-    """Finite window: a disc (center 0, given radius) or a rectangle, with
-    a scan resolution h."""
+    """Finite window: the points of the box bounds = (xmin, xmax, ymin,
+    ymax) within radius of the origin, scanned at resolution h.  A disc is
+    the box (-r, r, -r, r) cut to radius r; a rectangle has radius inf."""
 
-    kind: str
+    bounds: tuple
     h: float
-    radius: float = 0.0
-    rect: tuple = ()  # (xmin, xmax, ymin, ymax)
+    radius: float = math.inf
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.h, self.radius, *self.rect))):
+        if not all(map(math.isfinite, (self.h, *self.bounds))):
             raise DomainError("window radius, bounds and h must be finite")
         if self.h <= 0:
             raise ParameterError(f"grid resolution must be positive, got {self.h!r}")
-        if self.kind == "disc":
-            if self.radius <= 0:
-                raise ParameterError("disc window needs a positive radius")
-        elif self.kind == "rect":
-            if len(self.rect) != 4 or self.rect[0] >= self.rect[1] \
-                    or self.rect[2] >= self.rect[3]:
-                raise ParameterError("rectangle window is empty")
-        else:
-            raise ParameterError(f"unknown window kind {self.kind!r}")
+        xmin, xmax, ymin, ymax = self.bounds
+        if xmin >= xmax or ymin >= ymax or not self.radius > 0:
+            raise ParameterError(f"window {self.bounds} cut to radius "
+                                 f"{self.radius!r} is empty")
 
     @classmethod
     def disc(cls, radius: float, h: float) -> "Region":
-        return cls(kind="disc", h=h, radius=radius)
+        return cls((-radius, radius, -radius, radius), h, radius)
 
     @classmethod
     def rectangle(cls, xmin, xmax, ymin, ymax, h) -> "Region":
-        return cls(kind="rect", h=h, rect=(xmin, xmax, ymin, ymax))
-
-    @property
-    def bounds(self) -> tuple:
-        """(xmin, xmax, ymin, ymax) of the bounding box."""
-        r = self.radius
-        return self.rect or (-r, r, -r, r)
+        return cls((xmin, xmax, ymin, ymax), h)
 
     def mesh(self) -> np.ndarray:
-        """The scan lattice over the bounding box, as a 2-D array; more than
+        """The scan lattice over the box, as a 2-D array; more than
         MAX_GRID_POINTS points raise ResourceError before any allocation."""
         (xmin, xmax, ymin, ymax), h = self.bounds, self.h
         _check_size(math.ceil((xmax + h / 2 - xmin) / h)
@@ -227,17 +216,31 @@ class Region:
         return gx + 1j * gy
 
     def grid(self) -> np.ndarray:
+        """The mesh points within radius; none raises ParameterError."""
         pts = self.mesh().ravel()
-        return pts[np.abs(pts) <= self.radius] if self.kind == "disc" else pts
+        pts = pts[np.abs(pts) <= self.radius]
+        if pts.size == 0:
+            raise ParameterError("window grid is empty")
+        return pts
 
     def contains(self, pts: np.ndarray, collar: float = 0.0) -> np.ndarray:
-        """Membership in the window shrunk by the boundary collar."""
+        """Membership in the window shrunk by the boundary collar: the box
+        shrunk by it, within radius - collar of the origin."""
         pts = np.asarray(pts, dtype=complex)
-        if self.kind == "disc":
-            return np.abs(pts) <= self.radius - collar
-        xmin, xmax, ymin, ymax = self.rect
+        xmin, xmax, ymin, ymax = self.bounds
         return ((pts.real >= xmin + collar) & (pts.real <= xmax - collar)
-                & (pts.imag >= ymin + collar) & (pts.imag <= ymax - collar))
+                & (pts.imag >= ymin + collar) & (pts.imag <= ymax - collar)
+                & (np.abs(pts) <= self.radius - collar))
+
+    def interior(self, collar: float) -> tuple[np.ndarray, float]:
+        """The grid points at least collar inside the window, and the edge:
+        the radius of the largest centred disc inside them, less one step.
+        An uncovered point at or beyond the edge fails a covering
+        hypothesis ("outside a compact set")."""
+        pts = self.grid()
+        xmin, xmax, ymin, ymax = self.bounds
+        return (pts[self.contains(pts, collar)],
+                min(-xmin, xmax, -ymin, ymax, self.radius) - collar - self.h)
 
 
 def _xy(z: np.ndarray) -> np.ndarray:
@@ -253,17 +256,14 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
 def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float,
                 h: float):
     """Chunks (point, node, distance), in node order, of the pairs with
-    |point - center| <= reach * _REACH_PAD, for distinct points (at least
-    one) of a mesh of step h.  Each node reads its box of mesh cells, padded
-    by one cell, from a dense index table, about _SCAN_CHUNK at a time."""
-    k = _xy(points - points[0]).T / h
-    ik = np.rint(k)
-    # 1e-6 of a step, plus the drift of np.arange's rounded step across the
-    # mesh (about eps |start| / h a step), kept below a quarter step
-    tol = min(0.25, 1e-6 + 4 * np.finfo(float).eps * (np.ptp(ik) + 1)
-              * (np.abs(points).max() / h + 1))
-    if not np.abs(k - ik).max() <= tol:
-        raise PreconditionError(f"scan points are not on a mesh of step {h:g}")
+    |point - center| <= reach * _REACH_PAD, for points (at least one) that
+    fall one per cell of the mesh of step h through points[0], each in the
+    cell of its nearest mesh node.  Each node reads its box of mesh cells,
+    padded by one cell, from a dense index table, about _SCAN_CHUNK at a
+    time.  The padding holds every point within reach, on the mesh or off
+    it: such a point has u >= L in cell units, and rint(u) >= ceil(L) - 1
+    whenever u >= L - 1/2."""
+    ik = np.rint(_xy(points - points[0]).T / h)
     k0 = ik.min(axis=1, keepdims=True)
     n = ik.max(axis=1, keepdims=True) - k0 + 1
     _check_size(n.prod(), "mesh spanned by the scan points")
@@ -352,8 +352,6 @@ def overlap_constant(divisor: Divisor, window: Region) -> int:
     pairwise circle intersection points.  A certified lower bound for (and
     a heuristic estimate of) the true overlap constant."""
     pts = window.grid()
-    if pts.size == 0:
-        raise ParameterError("window grid is empty")
     centers, radii = divisor.centers, divisor.radii
     # Circles meet only at center distance <= r_i + r_j <= 2 max radius, and
     # a disc holding center i or a point of circle i lies as near to c_i.
@@ -393,8 +391,6 @@ def covering_margin(divisor: Divisor, margins, window: Region) -> list:
     if not all(map(math.isfinite, margins)):
         raise ParameterError(f"margin C must be finite, got {margins!r}")
     pts = window.grid()
-    if pts.size == 0:
-        raise ParameterError("window grid is empty")
     radii = divisor.radii
     worst = {}  # node set -> (worst point, margin at C = 0)
 
@@ -543,12 +539,7 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
     c_list = sorted(float(c) for c in c_list)
     if not c_list or any(c2 <= c1 for c1, c2 in zip(c_list, c_list[1:])):
         raise ParameterError("c_list must be strictly increasing and nonempty")
-    collar = float(divisor.radii.max()) if len(divisor) else 0.0
-    pts = window.grid()
-    pts = pts[window.contains(pts, collar)]
-    # the largest centred disc inside the scanned points, less one step
-    xmin, xmax, ymin, ymax = window.bounds
-    edge = min(-xmin, xmax, -ymin, ymax) - collar - window.h
+    pts, edge = window.interior(float(divisor.radii.max(initial=0.0)))
     scans = {}
     for C in c_list:
         if _uncovered_radius(divisor, C, pts, window.h, edge, scans) is None:

@@ -289,6 +289,9 @@ def symmetric_pair_report(a: float, mult: int, truncation: int
     if not 0 < a < math.inf or truncation < 2 * mult:
         raise ParameterError(f"symmetric pair needs a > 0, truncation >= "
                              f"2 mult; got {a}, {mult}, {truncation}")
+    if truncation * mult > MAX_ENTRIES:
+        raise ResourceError(f"symmetric pair would hold {truncation * mult} "
+                            f"entries (cap {MAX_ENTRIES})")
     rows = displacement_matrix(a, truncation, mult).real.T
     return _svd_report(truncation, [rows[:, 0::2], rows[:, 1::2]],
                        _tail((rows ** 2).sum(axis=1)))

@@ -64,8 +64,8 @@ def redistribution_integral(divisor: Divisor, R: float
     log(R/|z|) dm, the radial growth functional of the redistributed mass,
     by the 64-node polar rule, and its relative distance from the 32-node
     rule, which must not exceed RULE_RTOL."""
-    if not R > 0:
-        raise DomainError(f"R must be positive, got {R!r}")
+    if not (R > 0 and math.isfinite(R * R)):
+        raise DomainError(f"R must be positive with R^2 finite, got {R!r}")
     d, r = np.abs(divisor.centers), divisor.radii
     # discs wholly inside D(R), exact via circular means of the harmonic log
     inside = d + r <= R
@@ -158,22 +158,16 @@ def uniqueness_certificate(divisor: Divisor, window: Region, r_list
     if len(r_list) < 4:
         raise ParameterError("need at least 4 radii for the certificate")
     radii = divisor.radii
-    collar = float(radii.max())
-    pts = window.grid()
-    inner = pts[window.contains(pts, collar)]
+    inner, edge = window.interior(float(radii.max(initial=0.0)))
     if inner.size == 0:
         raise ParameterError("window too small for the collar")
     counts = _count_scan(inner, divisor.centers, radii, window.h)
     h2 = window.h ** 2
     uncovered = inner[counts == 0]
-    if uncovered.size:
-        edge = float(np.abs(uncovered).max())
-        limit = (window.radius - collar if window.kind == "disc"
-                 else min(abs(v) for v in window.rect))
-        if edge > limit - collar:
-            raise PreconditionError(
-                "uncovered set reaches the window collar: the covering "
-                "hypothesis (complement compact) fails")
+    if uncovered.size and np.abs(uncovered).max() >= edge:
+        raise PreconditionError(
+            "uncovered set reaches the window collar: the covering "
+            "hypothesis (complement compact) fails")
     area_K = uncovered.size * h2
     need = area_K + 1.0
     multi_radii = np.sort(np.abs(inner[counts >= 2]))
@@ -285,9 +279,8 @@ def verify_psi_laplacian(divisor: Divisor, window: Region
     lap[1:-1, 1:-1] = (psi[2:, 1:-1] + psi[:-2, 1:-1] + psi[1:-1, 2:]
                        + psi[1:-1, :-2] - 4 * psi[1:-1, 1:-1]) / (h * h)
     lap = lap.ravel()
-    valid = np.isfinite(lap) & ~near_edge
-    if window.kind == "disc":
-        valid &= np.abs(flat) <= window.radius - 2 * h
+    valid = (np.isfinite(lap) & ~near_edge
+             & (np.abs(flat) <= window.radius - 2 * h))
     inside = valid & in_some_disc & clear_of_centers
     outside = valid & outside_all
     dev_in = float(np.max(np.abs(lap[inside]))) if inside.any() else 0.0

@@ -256,6 +256,31 @@ class TestExitCodes:
                       GEOMETRY_CFG + "[frame]\ntruncations = 10\n", "frame")
         assert code == EXIT_RESOURCE
 
+    @pytest.mark.parametrize("radii", ["5,7,9,inf", "5,7,9,1e300"])
+    def test_radius_with_infinite_square(self, tmp_path, capsys, radii):
+        # inf used to exit 1 after LAPACK noise on stderr, and 1e300 to
+        # exit 0 with a nan slope
+        cfg = UNIQUENESS_CFG.replace("radii = 5,7,9,11", f"radii = {radii}")
+        code, _ = run(tmp_path, "u", cfg, "uniqueness")
+        assert code == EXIT_PRECONDITION
+        assert "R must be positive" in capsys.readouterr().err
+
+    def test_dichotomy_over_entry_cap(self, tmp_path, monkeypatch):
+        # m = 6400 at N = 2m: 81,920,000 entries, just above MAX_ENTRIES;
+        # refused before any displacement row or large array is built
+        def unreachable(*args):
+            raise AssertionError("rows built past the entry cap")
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) <= 5e7, "a capped array was allocated"
+            return zeros(shape, *args, **kwargs)
+        monkeypatch.setattr(fr, "displacement_matrix", unreachable)
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        code, _ = run(tmp_path, "d", DICHOTOMY_CFG.replace(
+            "multiplicities = 1,4", "multiplicities = 6400"), "dichotomy")
+        assert code == EXIT_RESOURCE
+
     @pytest.mark.parametrize("margins", ["nan", "inf", "0,-inf"])
     def test_non_finite_margin(self, tmp_path, margins):
         cfg = GEOMETRY_CFG.replace("margins = 0.0,0.25",

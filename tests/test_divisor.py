@@ -259,8 +259,9 @@ class TestOverlap:
 
 @st.composite
 def scan_cases(draw):
-    """(points, h, centers, radii, C): the grid, full mesh or collar-masked
-    grid of a disc or rectangle window at several steps and origins;
+    """(points, h, centers, radii, C): the grid, full mesh, collar-masked
+    grid or grid jittered by less than half a step of a disc or rectangle
+    window at several steps and origins;
     centers on a half-integer grid (exact distance ties; at h = 0.25 or 0.5
     from a half-integer origin, grid points lie exactly on every circle of
     radius 0.5, 1 or 2), anywhere, or on a translated lattice, some outside
@@ -272,10 +273,15 @@ def scan_cases(draw):
         x0, y0 = (draw(st.sampled_from([-4.0, -3.5, -2.7]))
                   for _ in range(2))
         W = Region.rectangle(x0, x0 + 7.0, y0, y0 + 6.5, h)
-    part = draw(st.sampled_from(["grid", "mesh", "collar"]))
+    part = draw(st.sampled_from(["grid", "mesh", "collar", "jitter"]))
     points = W.mesh().ravel() if part == "mesh" else W.grid()
     if part == "collar":
         points = points[W.contains(points, 1.0)]
+    if part == "jitter":  # all but the first off their nodes, one per cell
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        shift = rng.uniform(-0.45 * h, 0.45 * h, (2, points.size))
+        points = points + (shift[0] + 1j * shift[1]) * (
+            np.arange(points.size) > 0)
     layout = draw(st.sampled_from(["half", "any", "lattice"]))
     if layout == "lattice":
         dx, dy = (draw(st.floats(min_value=-0.5, max_value=0.5))
@@ -375,7 +381,7 @@ class TestNeighbourScans:
         # points up to 7e-6 and 1.2e-5 of h off their mesh nodes
         for W in (Region.rectangle(1e7, 1e7 + 3, 0, 3, 0.01),
                   Region.rectangle(1e8, 1e8 + 10, -5, 5, 0.05)):
-            points, lo = W.grid(), W.rect[0]
+            points, lo = W.grid(), W.bounds[0]
             X = Divisor(lo + np.array([0.9 + 0.5j, 2 + 1j, 1.5 - 0.1j]),
                         np.array([1, 2, 1]))
             c, r = X.centers, X.radii
@@ -385,13 +391,22 @@ class TestNeighbourScans:
                                   dense_margin_scan(points, c, r))
             assert overlap_constant(X, W) == dense_overlap_constant(X, W)
 
+    def test_point_off_the_mesh_alone_in_its_cell(self):
+        # 0.75 lies half a step off the mesh through 0, but no other point
+        # rounds to its cell
+        c, r = np.array([0.2 + 0.1j]), np.array([1.0])
+        points = np.array([0j, 0.5 + 0j, 0.5j, 1 + 1.5j, 0.75 + 0j])
+        assert np.array_equal(_count_scan(points, c, r, 0.5),
+                              dense_count_scan(points, c, r))
+        assert np.array_equal(_margin_scan(points, c, r, 0.5),
+                              dense_margin_scan(points, c, r))
+
     @pytest.mark.parametrize("scan", [_count_scan, _margin_scan])
-    def test_rejects_points_off_one_mesh(self, scan):
+    def test_rejects_points_sharing_a_cell(self, scan):
         c, r = np.array([0.2 + 0.1j]), np.array([1.0])
         on = np.array([0j, 0.5 + 0j, 0.5j, 1 + 1.5j])
         scan(np.r_[on, 1.5 + 1e-7 * 0.5], c, r, 0.5)  # 1e-7 h off the mesh
-        for bad in (np.r_[on, 0.75 + 0j],  # off the mesh
-                    np.r_[on, 1 + 1.5j + 1e-5 * 0.5],  # 1e-5 h off
+        for bad in (np.r_[on, 1 + 1.5j + 1e-5 * 0.5],  # 1e-5 h off a point
                     np.r_[on, 0.5 + 0j],  # a duplicate
                     np.r_[on, 1e-9 + 0.5j]):  # two points in one cell
             with pytest.raises(PreconditionError):
@@ -675,8 +690,7 @@ def dense_uncovered_radius(divisor, C, window, collar):
     r = float(np.abs(uncovered).max())
     # the edge is the largest centred disc inside the window minus the
     # collar, less one step, for a disc or a rectangle alike
-    r0 = window.radius
-    xmin, xmax, ymin, ymax = window.rect or (-r0, r0, -r0, r0)
+    xmin, xmax, ymin, ymax = window.bounds
     if r >= min(-xmin, xmax, -ymin, ymax) - collar - window.h:
         return None
     return r
@@ -721,8 +735,7 @@ class TestThinning:
         X, W, shrinks = case
         pts = W.grid()
         pts = pts[W.contains(pts, collar)]
-        r0 = W.radius
-        xmin, xmax, ymin, ymax = W.rect or (-r0, r0, -r0, r0)
+        xmin, xmax, ymin, ymax = W.bounds
         edge = min(-xmin, xmax, -ymin, ymax) - collar - W.h
         scans = {}
         for C in shrinks:

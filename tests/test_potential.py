@@ -131,6 +131,20 @@ class TestRedistributionIntegral:
         with pytest.raises(DomainError):
             redistribution_integral(X, 0.0)
 
+    @pytest.mark.parametrize("R", [math.inf, math.nan, 1e300])
+    def test_rejects_radius_with_infinite_square(self, R):
+        # inf used to end in a LAPACK failure of the certificate's fit, and
+        # 1e300 in a nan slope; R = 1e150 has R^2 finite and runs clean
+        X = lattice(1.2, 2, 14.0)
+        with pytest.raises(DomainError):
+            redistribution_integral(X, R)
+        with pytest.raises(DomainError):
+            uniqueness_certificate(X, Region.disc(14.0, 0.3),
+                                   [5.0, 7.0, 9.0, R])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value, _ = redistribution_integral(X, 1e150)
+        assert math.isfinite(value) and value > 0
+
 
 class TestRedistributionCurve:
     def test_csv_header(self):
@@ -163,6 +177,50 @@ class TestUniquenessCertificate:
         W = Region.disc(20.0, 0.25)
         with pytest.raises(PreconditionError):
             uniqueness_certificate(X, W, [5.0, 8.0, 11.0, 14.0])
+
+    windows_12 = pytest.mark.parametrize("window", [
+        Region.disc(12.0, 0.1), Region.rectangle(-12, 12, -12, 12, 0.1)],
+        ids=["disc", "rect"])
+
+    @windows_12
+    def test_hole_at_the_collar_raises(self, window):
+        # lattice(1.5, 2, 16) less its node at 10.5 leaves a hole just
+        # inside |z| = 12 - collar (the collar is the disc radius sqrt(2)).
+        # One interior rule for both windows: the rectangle used to allow
+        # uncovered points up to 12 - collar and returned a verdict here
+        X = lattice(1.5, 2, 16.0)
+        with pytest.raises(PreconditionError):
+            uniqueness_certificate(X.subset(X.centers != 10.5), window,
+                                   [3.0, 4.0, 5.0, 6.0])
+
+    @windows_12
+    def test_uncovered_edge(self, window, monkeypatch):
+        # the grid points at one radius made uncovered in a covering
+        # lattice: the largest radius below the edge 12 - collar - h
+        # passes, the smallest at or above it raises
+        X = lattice(1.5, 2, 16.0)
+        collar = float(X.radii.max())
+        inner, edge = window.interior(collar)
+        assert edge == 12.0 - collar - 0.1
+        radius = np.abs(inner)
+        scan = pt._count_scan
+
+        def certify_with_uncovered(target):
+            def uncover(points, centers, radii, h):
+                counts = scan(points, centers, radii, h)
+                counts[np.abs(points) == target] = 0
+                return counts
+            monkeypatch.setattr(pt, "_count_scan", uncover)
+            return uniqueness_certificate(X, window, [3.0, 4.0, 5.0, 6.0])
+        assert certify_with_uncovered(radius[radius < edge].max()).area_K > 0
+        with pytest.raises(PreconditionError):
+            certify_with_uncovered(radius[radius >= edge].min())
+
+    def test_empty_divisor_fails_the_covering(self):
+        X = Divisor(np.array([], dtype=complex), np.array([], dtype=int))
+        with pytest.raises(PreconditionError):
+            uniqueness_certificate(X, Region.disc(6.0, 0.2),
+                                   [2.0, 3.0, 4.0, 5.0])
 
     def test_dense_lattice_grows(self):
         X = lattice(spacing=1.2, mult=2, extent=18.0)
