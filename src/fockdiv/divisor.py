@@ -20,11 +20,11 @@ from .errors import (DomainError, ParameterError, PreconditionError,
                      ResourceError)
 
 # Relative padding of every neighbour reach.  np.abs(z - c) differs from
-# the k-d tree's distances, and from the mesh coordinates that bound a
-# node's box of cells, by a few ulps at most, so the padded candidate sets
-# hold every node the exact comparisons below can select.
+# the coordinates that bound a node's box of cells, and from the k-d tree
+# distances of _margin_scan's k-nearest fallback, by a few ulps at most, so
+# the padded candidate sets hold every node the exact comparisons select.
 _REACH_PAD = 1.0 + 1e-9
-# Candidate (point, node) pairs of a mesh scan alive at once.
+# Candidate (point, node) pairs of a neighbour scan alive at once.
 _SCAN_CHUNK = 1 << 15
 # Largest center modulus: squared distances stay finite below it.
 _CENTER_LIMIT = 1e150
@@ -256,53 +256,64 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
 def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float,
                 h: float):
     """Chunks (point, node, distance), in node order, of the pairs with
-    |point - center| <= reach * _REACH_PAD, for points (at least one) that
-    fall one per cell of the mesh of step h through points[0], each in the
-    cell of its nearest mesh node.  Each node reads its box of mesh cells,
-    padded by one cell, from a dense index table, about _SCAN_CHUNK at a
-    time.  The padding holds every point within reach, on the mesh or off
-    it: such a point has u >= L in cell units, and rint(u) >= ceil(L) - 1
-    whenever u >= L - 1/2."""
-    ik = np.rint(_xy(points - points[0]).T / h)
-    k0 = ik.min(axis=1, keepdims=True)
-    n = ik.max(axis=1, keepdims=True) - k0 + 1
-    _check_size(n.prod(), "mesh spanned by the scan points")
-    nx = int(n[0, 0])
-    cell = ((ik[1] - k0[1]) * nx + ik[0] - k0[0]).astype(np.intp)
-    table = np.full(int(n.prod()), -1)
-    table[cell] = np.arange(points.size)
-    if not np.array_equal(table[cell], np.arange(points.size)):
-        raise PreconditionError("two scan points share a mesh cell")
-    # each node's box of cells, padded by one cell and clipped in floats,
-    # so that far nodes cannot overflow the index arithmetic
+    |point - center| <= reach * _REACH_PAD, for any n finite points in
+    square cells of side max(h, span / (2 sqrt(n))), at most about 4 n cells.
+    Each node reads the cells meeting its box widened by half a cell, row by
+    row (a slice of the points sorted by cell), ~_SCAN_CHUNK pairs at once."""
+    if points.size == 0:
+        return
+    # halved coordinates, so that the spans of finite points stay finite
+    xy = np.array([points.real, points.imag]) / 2
+    lo = xy.min(axis=1, keepdims=True)
+    side = max(h, np.ptp(xy, axis=1).max() / math.sqrt(points.size)) / 2
+    cell = np.floor((xy - lo) / side).astype(np.intp)
+    nx, ny = cell.max(axis=1) + 1
+    key = cell[1] * nx + cell[0]
+    order = np.argsort(key, kind="stable")  # a mesh comes nearly sorted
+    ordered = points[order]
+    box = np.pad(np.bincount(key, minlength=nx * ny).reshape(ny, nx).cumsum(
+        0).cumsum(1), (1, 0))  # box[y, x]: the points in rows < y, cols < x
+    # boxes clipped in floats, so that far nodes cannot overflow the indices
     reach *= _REACH_PAD
-    xy = _xy(centers - points[0]).T
-    lo = np.clip(np.ceil((xy - reach) / h) - k0 - 1, 0, n)
-    hi = np.clip(np.floor((xy + reach) / h) - k0 + 1, -1, n - 1)
-    (lx, ly), (wx, wy) = lo.astype(np.intp), (hi - lo + 1).clip(0).astype(int)
-    size = wx * wy
-    chunk = (np.cumsum(size) - size) // _SCAN_CHUNK
+    xy = np.array([centers.real, centers.imag]) / 2
+    n = np.array([[nx], [ny]])
+    blo = np.clip(np.floor((xy - reach / 2 - lo) / side - 0.5), 0, n)
+    bhi = np.clip(np.floor((xy + reach / 2 - lo) / side + 0.5) + 1, blo, n)
+    (lx, ly), (hx, hy) = blo.astype(np.intp), bhi.astype(np.intp)
+    wy = hy - ly
+    size = box[hy, hx] - box[ly, hx] - box[hy, lx] + box[ly, lx]
+    chunk = (np.cumsum(size + wy) - size - wy) // _SCAN_CHUNK  # pairs, rows
     for nodes in np.split(np.arange(centers.size),
                           np.flatnonzero(np.diff(chunk)) + 1):
-        # the rows of the boxes, then the cells of each row
+        # the rows of the boxes, then each row's slice of the sorted points
         row_node = np.repeat(nodes, wy[nodes])
-        row_cell = _ranges(ly[nodes], wy[nodes]) * nx + lx[row_node]
-        pi = table[_ranges(row_cell, wx[row_node])]
-        node = np.repeat(nodes, size[nodes])[pi >= 0]
-        pi = pi[pi >= 0]
-        dist = np.abs(points[pi] - centers[node])
+        row = _ranges(ly[nodes], wy[nodes])
+        x0, x1 = lx[row_node], hx[row_node]
+        before = box[row + 1, x0] - box[row, x0]
+        length = box[row + 1, x1] - box[row, x1] - before
+        at = _ranges(box[row, nx] + before, length)
+        node = np.repeat(row_node, length)
+        dist = np.abs(ordered[at] - centers[node])
         close = dist <= reach
-        yield pi[close], node[close], dist[close]
+        yield order[at[close]], node[close], dist[close]
+
+
+def _node_pairs(centers: np.ndarray, reach: float):
+    """(i, j, |c_j - c_i|) for the pairs i < j within reach * _REACH_PAD."""
+    none = np.zeros(0, np.intp)
+    j, i, d = map(np.concatenate, zip((none, none, none), *_near_pairs(
+        centers, centers, reach, reach / 4)))
+    return i[i < j], j[i < j], d[i < j]
 
 
 def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
                  h: float) -> np.ndarray:
-    """min over nodes of |z - center| - radius, for the points z of a mesh
-    of step h.  A minimum at most h is decided by the pairs within max
-    radius + h.  Above h, every minimizing node lies within d1 + (max radius
-    - min radius) of z, d1 the distance to its nearest center, so z takes
-    its k nearest centers, k grown until the k-th lies beyond that reach or
-    k is the node count."""
+    """min over nodes of |z - center| - radius, for any points z, indexed
+    in cells of side at least h.  A minimum at most h is decided by the
+    pairs within max radius + h.  Above h, every minimizing node lies within
+    d1 + (max radius - min radius) of z, d1 the distance to its nearest
+    center, so z takes its k nearest centers, k grown until the k-th lies
+    beyond that reach or k is the node count."""
     out = np.full(points.size, np.inf)
     for pi, ni, dist in _near_pairs(points, centers, radii.max() + h, h):
         np.minimum.at(out, pi, dist - radii[ni])
@@ -322,8 +333,8 @@ def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
 
 def _count_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
                 h: float) -> np.ndarray:
-    """Number of open discs D(center, radius) containing each point of a
-    mesh of step h."""
+    """Number of open discs D(center, radius) containing each point, the
+    points indexed in cells of side at least h."""
     counts = np.zeros(points.size, dtype=np.intp)
     for pi, ni, dist in _near_pairs(points, centers,
                                     radii.max(initial=0.0), h):
@@ -351,32 +362,26 @@ def overlap_constant(divisor: Divisor, window: Region) -> int:
     """Max covering count over the window grid, enriched with centers and
     pairwise circle intersection points.  A certified lower bound for (and
     a heuristic estimate of) the true overlap constant."""
-    pts = window.grid()
     centers, radii = divisor.centers, divisor.radii
-    # Circles meet only at center distance <= r_i + r_j <= 2 max radius, and
-    # a disc holding center i or a point of circle i lies as near to c_i.
-    pairs = cKDTree(_xy(centers)).query_pairs(
-        2 * radii.max(initial=0.0) * _REACH_PAD, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
+    # Circles meet only at center distance <= r_i + r_j <= 2 max radius.
+    i, j, _ = _node_pairs(centers, 2 * radii.max(initial=0.0))
     meets, p, q = _circle_intersections(centers[i], radii[i],
                                         centers[j], radii[j])
     # Nudge inward so open-disc membership is unambiguous.
     mid = ((centers[i] + centers[j]) / 2)[meets, None]
     pq = np.column_stack((p, q))
-    extra = np.concatenate([centers, (pq + 1e-9 * (mid - pq)).ravel()])
-    # each center, and each crossing of circle i, is counted against its
-    # node and that node's pair partners: b listed by a in runs of degree[a]
-    nodes = np.arange(centers.size)
-    a, b = np.concatenate([nodes, i, j]), np.concatenate([nodes, j, i])
-    degree = np.bincount(a, minlength=centers.size)
-    anchor = np.concatenate([nodes, np.repeat(i[meets], 2)])
-    sizes = degree[anchor]
-    e = np.repeat(np.arange(extra.size), sizes)
-    k = b[np.argsort(a, kind="stable")][
-        _ranges(np.cumsum(degree)[anchor] - sizes, sizes)]
-    inside = np.abs(extra[e] - centers[k]) < radii[k]
-    return int(max(_count_scan(pts, centers, radii, window.h).max(),
-                   np.bincount(e[inside], minlength=1).max()))
+    pts = np.concatenate([window.grid(), centers,
+                          (pq + 1e-9 * (mid - pq)).ravel()])
+    return int(_count_scan(pts, centers, radii, window.h).max())
+
+
+def _margins(radii: np.ndarray, margins) -> list:
+    """The margins C as floats, each with 2 (max radius + |C|) finite."""
+    margins, top = [float(c) for c in margins], float(radii.max(initial=0.0))
+    if not all(math.isfinite(2 * (top + abs(c))) for c in margins):
+        raise ParameterError(f"margin C must keep 2 (max radius + |C|) "
+                             f"finite, got {margins!r}")
+    return margins
 
 
 def covering_margin(divisor: Divisor, margins, window: Region) -> list:
@@ -387,11 +392,8 @@ def covering_margin(divisor: Divisor, margins, window: Region) -> list:
     (shrink; None when no radius exceeds C).  margin <= 0 means covered.
     A common shift of the radii shifts the margin back, so one scan of
     rho = radius per distinct node set serves every C and both modes."""
-    margins = [float(c) for c in margins]
-    if not all(map(math.isfinite, margins)):
-        raise ParameterError(f"margin C must be finite, got {margins!r}")
-    pts = window.grid()
     radii = divisor.radii
+    margins, pts = _margins(radii, margins), window.grid()
     worst = {}  # node set -> (worst point, margin at C = 0)
 
     def entry(nodes: np.ndarray, shift: float):
@@ -412,8 +414,7 @@ def covering_margin(divisor: Divisor, margins, window: Region) -> list:
 def disjointness_check(divisor: Divisor, C: float) -> tuple[bool, tuple]:
     """Pairwise disjointness of the discs with radii + C (tangency counts
     as disjoint).  Returns (ok, (i, j, violation)) for the worst pair."""
-    if not math.isfinite(C):
-        raise ParameterError(f"margin C must be finite, got {C!r}")
+    (C,) = _margins(divisor.radii, [C])
     return _worst_overlap(divisor.centers, divisor.radii + C)
 
 
@@ -427,16 +428,14 @@ def _worst_overlap(centers: np.ndarray, rho: np.ndarray
     n = centers.size
     if n < 2:
         return True, (None, None, 0.0)
-    tree = cKDTree(_xy(centers))
     top = 2 * rho.max()
     reach = top if top > 0 else 1.0
     while True:
-        pairs = tree.query_pairs(reach * _REACH_PAD, output_type="ndarray")
-        if len(pairs):
-            i, j = pairs[:, 0], pairs[:, 1]
-            viol = rho[i] + rho[j] - np.abs(centers[j] - centers[i])
+        i, j, dist = _node_pairs(centers, reach)
+        if i.size:
+            viol = rho[i] + rho[j] - dist
             best = viol.max()
-            if best >= top - reach or len(pairs) == n * (n - 1) // 2:
+            if best >= top - reach or i.size == n * (n - 1) // 2:
                 break
         reach *= 2
     ties = np.flatnonzero(viol == best)

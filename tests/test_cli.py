@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,19 @@ class TestExitCodes:
                                    f"margins = {margins}")
         code, _ = run(tmp_path, "g", cfg, "geometry")
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("margins", ["0,1e308", "-1e308"])
+    def test_margin_whose_radius_sums_overflow(self, tmp_path, capsys,
+                                               margins):
+        # 1e308 used to exit 0 after three RuntimeWarnings, reporting a
+        # violation of inf
+        cfg = GEOMETRY_CFG.replace("margins = 0.0,0.25",
+                                   f"margins = {margins}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "g", cfg, "geometry")
+        assert code == EXIT_PRECONDITION
+        assert "max radius + |C|" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,cfg,key", [
         ("geometry", GEOMETRY_CFG.replace("spacing = 1.5\n", ""),

@@ -261,7 +261,8 @@ class TestOverlap:
 def scan_cases(draw):
     """(points, h, centers, radii, C): the grid, full mesh, collar-masked
     grid or grid jittered by less than half a step of a disc or rectangle
-    window at several steps and origins;
+    window at several steps and origins, or as many free floats in its box
+    with a quarter of them repeated;
     centers on a half-integer grid (exact distance ties; at h = 0.25 or 0.5
     from a half-integer origin, grid points lie exactly on every circle of
     radius 0.5, 1 or 2), anywhere, or on a translated lattice, some outside
@@ -273,15 +274,21 @@ def scan_cases(draw):
         x0, y0 = (draw(st.sampled_from([-4.0, -3.5, -2.7]))
                   for _ in range(2))
         W = Region.rectangle(x0, x0 + 7.0, y0, y0 + 6.5, h)
-    part = draw(st.sampled_from(["grid", "mesh", "collar", "jitter"]))
+    part = draw(st.sampled_from(["grid", "mesh", "collar", "jitter",
+                                 "scattered"]))
     points = W.mesh().ravel() if part == "mesh" else W.grid()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if part == "collar":
         points = points[W.contains(points, 1.0)]
-    if part == "jitter":  # all but the first off their nodes, one per cell
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if part == "jitter":  # all but the first off their nodes
         shift = rng.uniform(-0.45 * h, 0.45 * h, (2, points.size))
         points = points + (shift[0] + 1j * shift[1]) * (
             np.arange(points.size) > 0)
+    if part == "scattered":  # free floats in the box, a quarter repeated
+        xmin, xmax, ymin, ymax = W.bounds
+        points = (rng.uniform(xmin, xmax, points.size)
+                  + 1j * rng.uniform(ymin, ymax, points.size))
+        points = np.r_[points, rng.choice(points, points.size // 4)]
     layout = draw(st.sampled_from(["half", "any", "lattice"]))
     if layout == "lattice":
         dx, dy = (draw(st.floats(min_value=-0.5, max_value=0.5))
@@ -392,8 +399,7 @@ class TestNeighbourScans:
             assert overlap_constant(X, W) == dense_overlap_constant(X, W)
 
     def test_point_off_the_mesh_alone_in_its_cell(self):
-        # 0.75 lies half a step off the mesh through 0, but no other point
-        # rounds to its cell
+        # 0.75 lies half a step off the mesh through 0
         c, r = np.array([0.2 + 0.1j]), np.array([1.0])
         points = np.array([0j, 0.5 + 0j, 0.5j, 1 + 1.5j, 0.75 + 0j])
         assert np.array_equal(_count_scan(points, c, r, 0.5),
@@ -402,18 +408,28 @@ class TestNeighbourScans:
                               dense_margin_scan(points, c, r))
 
     @pytest.mark.parametrize("scan", [_count_scan, _margin_scan])
-    def test_rejects_points_sharing_a_cell(self, scan):
+    def test_points_sharing_a_cell_match_dense_oracles(self, scan):
+        # several points in one cell, and a span that would fill a table
+        # of 1e8 cells of side h
+        dense = {_count_scan: dense_count_scan,
+                 _margin_scan: dense_margin_scan}[scan]
         c, r = np.array([0.2 + 0.1j]), np.array([1.0])
         on = np.array([0j, 0.5 + 0j, 0.5j, 1 + 1.5j])
-        scan(np.r_[on, 1.5 + 1e-7 * 0.5], c, r, 0.5)  # 1e-7 h off the mesh
-        for bad in (np.r_[on, 1 + 1.5j + 1e-5 * 0.5],  # 1e-5 h off a point
-                    np.r_[on, 0.5 + 0j],  # a duplicate
-                    np.r_[on, 1e-9 + 0.5j]):  # two points in one cell
-            with pytest.raises(PreconditionError):
-                scan(bad, c, r, 0.5)
-        # two mesh points whose cells would fill a 1e8-cell table
-        with pytest.raises(ResourceError):
-            scan(np.array([0j, 1e4 + 1e4j]), c, r, 1.0)
+        for points, h in (
+                (np.r_[on, 1 + 1.5j + 1e-5 * 0.5], 0.5),  # 1e-5 h off a point
+                (np.r_[on, 0.5 + 0j], 0.5),  # a duplicate
+                (np.r_[on, 1e-9 + 0.5j], 0.5),  # two points in one cell
+                (np.array([0j, 1e4 + 1e4j]), 1.0)):
+            assert np.array_equal(scan(points, c, r, h),
+                                  dense(points, c, r))
+
+    def test_near_pairs_where_spans_overflow(self):
+        # coordinate differences of these points overflow to inf
+        points = np.array([-1.7e308, 1.7e308j, 0.5 + 0j, 1.7e308 + 0j])
+        c = np.array([0.2 + 0.1j, 1.7e308 - 1j, -1e300 + 0j])
+        pairs = sorted((int(p), int(n)) for chunk in dv._near_pairs(
+            points, c, 2.0, 1.0) for p, n in zip(*chunk[:2]))
+        assert pairs == [(2, 0), (3, 1)]
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -578,6 +594,17 @@ class TestCoveringAndDisjointness:
                 covering_margin(X, C, W)
         with pytest.raises(ParameterError):
             disjointness_check(X, bad)
+
+    @pytest.mark.parametrize("bad", [1e308, -1e308, 8.99e307])
+    def test_rejects_margin_whose_radius_sums_overflow(self, bad):
+        # radius 2 + 8.99e307, doubled, overflows
+        X = Divisor(np.array([0j, 1 + 0j]), np.array([1, 4]))
+        W = Region.disc(2.0, 0.5)
+        with pytest.raises(ParameterError):
+            covering_margin(X, [0.0, bad], W)
+        with pytest.raises(ParameterError):
+            disjointness_check(X, bad)
+        disjointness_check(X, 8.98e307)
 
     def test_disjointness(self):
         X = Divisor(np.array([0j, 5 + 0j]), np.array([1, 1]))
