@@ -105,7 +105,8 @@ def cmd_geometry(cfg) -> dict[str, list[str]]:
     s_est = dv.overlap_constant(X, W)
     rows.append(f"overlap_constant,,,{s_est},,")
     covering = dv.covering_margin(X, margins, W)
-    for C, entries in zip(margins, covering):
+    disjoint = dv.disjointness_check(X, margins)
+    for C, entries, (ok, worst) in zip(margins, covering, disjoint):
         for mode, entry in zip(("expand", "shrink"), entries):
             if entry is None:
                 rows.append(f"covering,{C:g},{mode},empty-system,,")
@@ -113,7 +114,6 @@ def cmd_geometry(cfg) -> dict[str, list[str]]:
             wz, margin = entry
             rows.append(f"covering,{C:g},{mode},{margin:.12g},"
                         f"{wz.real:.12g},{wz.imag:.12g}")
-        ok, worst = dv.disjointness_check(X, C)
         rows.append(f"disjoint,{C:g},expand,{int(ok)},"
                     f"{'' if worst[0] is None else worst[0]},"
                     f"{worst[2]:.12g}")

@@ -26,7 +26,7 @@ from .errors import (DomainError, ParameterError, PreconditionError,
 _REACH_PAD = 1.0 + 1e-9
 # Candidate (point, node) pairs of a neighbour scan alive at once.
 _SCAN_CHUNK = 1 << 15
-# Largest center modulus: squared distances stay finite below it.
+# Largest center modulus and window bound: squared distances stay finite.
 _CENTER_LIMIT = 1e150
 # Largest scan lattice of Region.mesh, and largest lattice or ring family,
 # in points (64 MB as complex).
@@ -188,8 +188,9 @@ class Region:
     radius: float = math.inf
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.h, *self.bounds))):
-            raise DomainError("window radius, bounds and h must be finite")
+        if not all(abs(v) <= _CENTER_LIMIT for v in (self.h, *self.bounds)):
+            raise DomainError(f"window bounds and h must be finite, at most "
+                              f"{_CENTER_LIMIT:g} in modulus")
         if self.h <= 0:
             raise ParameterError(f"grid resolution must be positive, got {self.h!r}")
         xmin, xmax, ymin, ymax = self.bounds
@@ -233,13 +234,16 @@ class Region:
                 & (np.abs(pts) <= self.radius - collar))
 
     def interior(self, collar: float) -> tuple[np.ndarray, float]:
-        """The grid points at least collar inside the window, and the edge:
-        the radius of the largest centred disc inside them, less one step.
-        An uncovered point at or beyond the edge fails a covering
-        hypothesis ("outside a compact set")."""
+        """The grid points at least collar inside the window (none raise
+        ParameterError), and the edge: the radius of the largest centred
+        disc inside them, less one step.  An uncovered point at or beyond
+        the edge fails a covering hypothesis ("outside a compact set")."""
         pts = self.grid()
+        pts = pts[self.contains(pts, collar)]
+        if pts.size == 0:
+            raise ParameterError("window too small for the collar")
         xmin, xmax, ymin, ymax = self.bounds
-        return (pts[self.contains(pts, collar)],
+        return (pts,
                 min(-xmin, xmax, -ymin, ymax, self.radius) - collar - self.h)
 
 
@@ -384,64 +388,67 @@ def _margins(radii: np.ndarray, margins) -> list:
     return margins
 
 
+def _margin_field(divisor, nodes, pts, h, scans) -> np.ndarray:
+    """min over the nodes of |z - center| - radius at pts, one scan per node
+    set kept in scans.  Shifting the radii by C shifts it by -C."""
+    centers, radii = divisor.centers[nodes], divisor.radii[nodes]
+    key = centers.tobytes() + radii.tobytes()
+    if key not in scans:
+        scans[key] = _margin_scan(pts, centers, radii, h)
+    return scans[key]
+
+
 def covering_margin(divisor: Divisor, margins, window: Region) -> list:
     """Worst covering margins over the window, one result per margin C in
     the sequence margins.  A result is (expand, shrink), each a (worst
     point, margin) with margin max_z min_node (|z - center| - rho),
     rho = radius + C (expand) or radius - C over the nodes with radius > C
     (shrink; None when no radius exceeds C).  margin <= 0 means covered.
-    A common shift of the radii shifts the margin back, so one scan of
-    rho = radius per distinct node set serves every C and both modes."""
+    The worst point is taken on the unshifted field, then the shift is
+    added, so every C and both modes read one scan per node set."""
     radii = divisor.radii
-    margins, pts = _margins(radii, margins), window.grid()
-    worst = {}  # node set -> (worst point, margin at C = 0)
+    margins, pts, scans = _margins(radii, margins), window.grid(), {}
 
     def entry(nodes: np.ndarray, shift: float):
         if not nodes.any():
             return None
-        key = nodes.tobytes()
-        if key not in worst:
-            m = _margin_scan(pts, divisor.centers[nodes], radii[nodes],
-                             window.h)
-            worst[key] = complex(pts[m.argmax()]), float(m.max())
-        wz, m = worst[key]
-        return wz, m + shift
+        m = _margin_field(divisor, nodes, pts, window.h, scans)
+        k = m.argmax()
+        return complex(pts[k]), float(m[k]) + shift
 
     return [(entry(np.ones(radii.size, bool), -c), entry(radii > c, c))
             for c in margins]
 
 
-def disjointness_check(divisor: Divisor, C: float) -> tuple[bool, tuple]:
+def disjointness_check(divisor: Divisor, margins) -> list:
     """Pairwise disjointness of the discs with radii + C (tangency counts
-    as disjoint).  Returns (ok, (i, j, violation)) for the worst pair."""
-    (C,) = _margins(divisor.radii, [C])
-    return _worst_overlap(divisor.centers, divisor.radii + C)
+    as disjoint): (ok, (i, j, violation)) of the worst pair per margin C."""
+    radii = divisor.radii
+    return _worst_overlap(divisor.centers, radii, _margins(radii, margins))
 
 
-def _worst_overlap(centers: np.ndarray, rho: np.ndarray
-                   ) -> tuple[bool, tuple]:
-    """(ok, (i, j, violation)) for the pair i < j maximizing rho_i + rho_j
-    - |c_j - c_i|, the smallest (i, j) among ties; ok when the violation is
-    at most 1e-12.  A pair farther apart than the reach violates by less
-    than 2 max(rho) - reach, so the reach starts at 2 max(rho) and doubles
-    until the best candidate beats that or every pair is a candidate."""
-    n = centers.size
-    if n < 2:
-        return True, (None, None, 0.0)
-    top = 2 * rho.max()
-    reach = top if top > 0 else 1.0
+def _worst_overlap(centers, radii, margins) -> list:
+    """(ok, (i, j, violation)) per margin C for the pair i < j maximizing
+    rho_i + rho_j - |c_j - c_i|, rho = radii + C, the smallest (i, j) among
+    ties; ok when the violation is at most 1e-12.  Pairs beyond the reach
+    violate by less than top - reach, top = 2 max(rho), so one search
+    serves every C: its reach starts at the largest top and doubles until
+    each best candidate beats its top - reach or every pair is one."""
+    n, rhos = centers.size, [radii + c for c in margins]
+    if n < 2 or not margins:
+        return [(True, (None, None, 0.0))] * len(margins)
+    tops = [2 * rho.max() for rho in rhos]
+    reach = max(tops) if max(tops) > 0 else 1.0
     while True:
         i, j, dist = _node_pairs(centers, reach)
-        if i.size:
-            viol = rho[i] + rho[j] - dist
-            best = viol.max()
-            if best >= top - reach or i.size == n * (n - 1) // 2:
-                break
+        viols = [rho[i] + rho[j] - dist for rho in rhos]
+        if i.size == n * (n - 1) // 2 or i.size and all(
+                viol.max() >= top - reach for viol, top in zip(viols, tops)):
+            break
         reach *= 2
-    ties = np.flatnonzero(viol == best)
-    k = ties[np.lexsort((j[ties], i[ties]))[0]]
-    worst = (int(i[k]), int(j[k]), float(viol[k]))
-    return worst[2] <= 1e-12, worst
+    ks = [np.where(v == v.max(), i * n + j, n * n).argmin() for v in viols]
+    worst = [(int(i[k]), int(j[k]), float(v[k])) for v, k in zip(viols, ks)]
+    return [(w[2] <= 1e-12, w) for w in worst]
 
 
 def _lens_area(d: float, r1: float, r2: float) -> float:
@@ -509,20 +516,14 @@ def triple_disc_witness(d1, d2, d3) -> tuple[tuple[int, int], float, float]:
 
 def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray, h: float,
                       edge: float, scans: dict) -> float | None:
-    """Smallest R such that the discs shrunk by C cover pts outside the
-    centered disc of radius R; None when no disc survives the shrink, pts
-    (points of a mesh of step h) is empty or the uncovered points reach
-    edge.  The shrink shifts the margins by +C, so scans keeps one scan of
-    the unshrunk discs per node set {radius > C}, and the uncovered points
-    have base margin > -C."""
+    """Smallest R such that the discs shrunk by C cover pts (points of a
+    mesh of step h) outside the centered disc of radius R; None when no
+    disc survives the shrink or the uncovered points reach edge.  A point
+    is uncovered where the field of the nodes {radius > C} exceeds -C."""
     nodes = divisor.radii > C
-    if not nodes.any() or pts.size == 0:
+    if not nodes.any():
         return None
-    centers, radii = divisor.centers[nodes], divisor.radii[nodes]
-    key = centers.tobytes() + radii.tobytes()
-    if key not in scans:
-        scans[key] = _margin_scan(pts, centers, radii, h)
-    uncovered = pts[scans[key] > -C]
+    uncovered = pts[_margin_field(divisor, nodes, pts, h, scans) > -C]
     if uncovered.size == 0:
         return 0.0
     r = float(np.abs(uncovered).max())
@@ -535,7 +536,7 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
     is the radius outside of which the discs shrunk by s still cover the
     window.  The result keeps the covering property for every shrink in
     c_list while its far nodes have growing multiplicity."""
-    c_list = sorted(float(c) for c in c_list)
+    c_list = sorted(_margins(divisor.radii, c_list))
     if not c_list or any(c2 <= c1 for c1, c2 in zip(c_list, c_list[1:])):
         raise ParameterError("c_list must be strictly increasing and nonempty")
     pts, edge = window.interior(float(divisor.radii.max(initial=0.0)))

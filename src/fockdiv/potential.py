@@ -159,8 +159,6 @@ def uniqueness_certificate(divisor: Divisor, window: Region, r_list
         raise ParameterError("need at least 4 radii for the certificate")
     radii = divisor.radii
     inner, edge = window.interior(float(radii.max(initial=0.0)))
-    if inner.size == 0:
-        raise ParameterError("window too small for the collar")
     counts = _count_scan(inner, divisor.centers, radii, window.h)
     h2 = window.h ** 2
     uncovered = inner[counts == 0]
@@ -242,7 +240,7 @@ def verify_psi_laplacian(divisor: Divisor, window: Region
     if tol > 0.5:
         raise ParameterError(
             f"resolution too coarse: stencil error bound {tol:.3g} > 0.5")
-    ok, worst = disjointness_check(divisor, 0.0)
+    ((ok, worst),) = disjointness_check(divisor, [0.0])
     if not ok:
         raise PreconditionError(
             f"discs overlap: pair {worst[:2]} by {worst[2]:.3g}")
@@ -410,7 +408,7 @@ def cutoff_interpolant_field(divisor: Divisor, payloads, z: complex,
         raise ParameterError(f"margin must be positive, got {margin!r}")
     if abs(divisor.alpha - 1.0) > 1e-12:
         raise ParameterError("cut-off field assumes alpha = 1; rescale first")
-    ok, worst = disjointness_check(divisor, margin)
+    ((ok, worst),) = disjointness_check(divisor, [margin])
     if not ok:
         raise PreconditionError(
             f"expanded discs overlap: pair {worst[:2]} by {worst[2]:.3g}")

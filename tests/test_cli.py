@@ -282,6 +282,19 @@ class TestExitCodes:
             "multiplicities = 1,4", "multiplicities = 6400"), "dichotomy")
         assert code == EXIT_RESOURCE
 
+    def test_window_beyond_the_center_limit(self, tmp_path, capsys):
+        # this window sent every point to the margin scan's k-nearest
+        # fallback, whose squared distances overflowed: exit 1 with an
+        # IndexError
+        cfg = GEOMETRY_CFG.replace(
+            "kind = disc\nradius = 7\nh = 0.2",
+            "kind = rect\nxmin = 1e200\nxmax = 1.00000000001e200\n"
+            "ymin = 0\nymax = 1e190\nh = 1e189")
+        code, _ = run(tmp_path, "g", cfg, "geometry")
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("margins", ["nan", "inf", "0,-inf"])
     def test_non_finite_margin(self, tmp_path, margins):
         cfg = GEOMETRY_CFG.replace("margins = 0.0,0.25",
@@ -472,6 +485,24 @@ class TestReports:
                  in report_body(out, "geometry.csv").splitlines()
                  if ln.endswith("empty-system,,")]
         assert empty == ["3", "3.5"]
+
+    def test_geometry_searches_node_pairs_twice(self, tmp_path,
+                                                monkeypatch):
+        # one search for the overlap constant's crossings, at 2 max radius,
+        # and one for the disjointness of all three margins, at the largest
+        # 2 (max radius + C); one search per margin made four
+        reaches = []
+        search = dv._node_pairs
+
+        def counted(centers, reach):
+            reaches.append(reach)
+            return search(centers, reach)
+        monkeypatch.setattr(dv, "_node_pairs", counted)
+        assert main(["geometry", "--config",
+                     str(ROOT / "configs" / "geometry.ini"),
+                     "--out", str(tmp_path / "g")]) == EXIT_OK
+        r = math.sqrt(2)
+        assert reaches == [2 * r, 2 * (r + 0.5)]
 
     def test_frame_builds_r_once(self, tmp_path, monkeypatch):
         # three truncations share one pass over R's rows, built from one

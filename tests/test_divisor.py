@@ -206,6 +206,28 @@ class TestRegion:
             with pytest.raises(DomainError):
                 Region.rectangle(*rect, 0.1)
 
+    def test_rejects_far_window(self):
+        # beyond _CENTER_LIMIT the k-nearest fallback of the margin scan
+        # squared distances to inf and indexed past the centres
+        with pytest.raises(DomainError):
+            Region.rectangle(1e200, 1.00000000001e200, 0, 1e190, 1e189)
+        with pytest.raises(DomainError):
+            Region.rectangle(0, 1, -1.0000001e150, 0, 0.5)
+        with pytest.raises(DomainError):
+            Region.disc(1.0, 2e150)
+        assert Region.disc(1e150, 1e150).grid().size == 5
+
+    def test_empty_interior_raises(self):
+        # no grid point lies sqrt(2) inside a window of radius 1: the
+        # interior, and so the thinning, refuse it as a bad window, not as
+        # a failed covering hypothesis
+        W = Region.disc(1.0, 0.1)
+        with pytest.raises(ParameterError, match="too small for the collar"):
+            W.interior(math.sqrt(2))
+        assert W.interior(0.9)[0].size > 0
+        with pytest.raises(ParameterError, match="too small for the collar"):
+            thin_subdivisor(lattice(1.5, 2, 6.0), W, [0.0])
+
     def test_mesh_cap_raises_before_allocating(self, monkeypatch):
         # 2e8 x 2e8 points: the count alone must stop it
         def no_alloc(*args, **kwargs):
@@ -335,13 +357,18 @@ class TestNeighbourScans:
                                   dense_count_scan(points, c, r))
             assert np.array_equal(_margin_scan(points, c, r, h),
                                   dense_margin_scan(points, c, r))
-            assert _worst_overlap(c, r) == dense_disjointness_check(c, r)
+            # one pair search for every margin, each bitwise the dense
+            # loop's, from disjoint (-C) to overlapping (+C)
+            margins = [0.0, -C, C]
+            assert _worst_overlap(c, r, margins) == [
+                dense_disjointness_check(c, r + m) for m in margins]
             # shifted apart along the real axis until no two discs meet:
             # the centers near the window lie within 15 of each other,
             # those 1e6 away farther from every other than any shift
             far = c + (2 * r.max() + 15) * np.arange(c.size)
             assert dense_disjointness_check(far, r)[0]
-            assert _worst_overlap(far, r) == dense_disjointness_check(far, r)
+            assert _worst_overlap(far, r, margins) == [
+                dense_disjointness_check(far, r + m) for m in margins]
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            grid=st.booleans())
@@ -440,15 +467,17 @@ class TestNeighbourScans:
         assert overlap_constant(X, W) == dense_overlap_constant(X, W)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
-           C=st.sampled_from([-4.0, 0.0, 0.5, 1.5, 2.5]),
+           margins=st.lists(st.sampled_from([-4.0, 0.0, 0.5, 1.5, 2.5]),
+                            max_size=5),
            scale=st.sampled_from([0.5, 1.5, 8.0]))
     @settings(max_examples=40, deadline=None)
-    def test_disjointness_check_matches_dense_loop(self, seed, C, scale):
+    def test_disjointness_check_matches_dense_loop(self, seed, margins,
+                                                   scale):
         rng = np.random.default_rng(seed)
         X = random_divisor(rng, max_nodes=12, max_mult=9, scale=scale)
         r = X.radii
-        assert disjointness_check(X, C) == \
-            dense_disjointness_check(X.centers, r + C)
+        assert disjointness_check(X, margins) == [
+            dense_disjointness_check(X.centers, r + C) for C in margins]
 
     @pytest.mark.parametrize("centers,mults", [
         ([0j, 2 + 0j], [1, 1]),  # externally tangent
@@ -592,8 +621,8 @@ class TestCoveringAndDisjointness:
         for C in ([bad], [0.0, bad]):
             with pytest.raises(ParameterError):
                 covering_margin(X, C, W)
-        with pytest.raises(ParameterError):
-            disjointness_check(X, bad)
+            with pytest.raises(ParameterError):
+                disjointness_check(X, C)
 
     @pytest.mark.parametrize("bad", [1e308, -1e308, 8.99e307])
     def test_rejects_margin_whose_radius_sums_overflow(self, bad):
@@ -603,19 +632,18 @@ class TestCoveringAndDisjointness:
         with pytest.raises(ParameterError):
             covering_margin(X, [0.0, bad], W)
         with pytest.raises(ParameterError):
-            disjointness_check(X, bad)
-        disjointness_check(X, 8.98e307)
+            disjointness_check(X, [0.0, bad])
+        disjointness_check(X, [8.98e307])
 
     def test_disjointness(self):
         X = Divisor(np.array([0j, 5 + 0j]), np.array([1, 1]))
-        ok, worst = disjointness_check(X, 0.0)
+        (ok, _), (ok2, worst) = disjointness_check(X, [0.0, 2.0])
         assert ok
-        ok, worst = disjointness_check(X, 2.0)
-        assert not ok and worst[2] == pytest.approx(1.0)
+        assert not ok2 and worst[2] == pytest.approx(1.0)
 
     def test_tangency_counts_as_disjoint(self):
         X = Divisor(np.array([0j, 2 + 0j]), np.array([1, 1]))
-        ok, _ = disjointness_check(X, 0.0)
+        ((ok, _),) = disjointness_check(X, [0.0])
         assert ok
 
 
@@ -707,7 +735,7 @@ def dense_uncovered_radius(divisor, C, window, collar):
     nodes = divisor.radii > C
     pts = window.grid()
     pts = pts[window.contains(pts, collar)]
-    if not nodes.any() or pts.size == 0:
+    if not nodes.any():
         return None
     margins = dense_margin_scan(pts, divisor.centers[nodes],
                                 divisor.radii[nodes] - C)
@@ -770,7 +798,7 @@ class TestThinning:
                 == dense_uncovered_radius(X, C, W, collar)
         node_sets = {(X.radii > C).tobytes() for C in shrinks
                      if (X.radii > C).any()}
-        assert len(scans) == (len(node_sets) if pts.size else 0)
+        assert len(scans) == len(node_sets)
 
     @pytest.mark.parametrize("window", [
         Region.disc(14.0, 0.2), Region.rectangle(-14, 14, -14, 14, 0.2)],
@@ -819,6 +847,12 @@ class TestThinning:
             thin_subdivisor(X, W, [])
         with pytest.raises(ParameterError):
             thin_subdivisor(X, W, [1.0, 1.0])  # duplicates after sorting
+        # the margin check of covering_margin: these used to report a
+        # failed shrink-covering hypothesis for C=nan
+        for bad in ([math.nan], [0.5, math.inf], [0.1, math.nan, 0.2],
+                    [1e308]):
+            with pytest.raises(ParameterError, match="max radius"):
+                thin_subdivisor(X, W, bad)
 
     def test_rejects_broken_hypothesis(self):
         X = Divisor(np.array([0j]), np.array([4]))

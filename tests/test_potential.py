@@ -216,6 +216,12 @@ class TestUniquenessCertificate:
         with pytest.raises(PreconditionError):
             certify_with_uncovered(radius[radius >= edge].min())
 
+    def test_window_too_small_for_the_collar(self):
+        # Region.interior's check, the one the thinning meets too
+        with pytest.raises(ParameterError, match="too small for the collar"):
+            uniqueness_certificate(lattice(1.5, 2, 6.0), Region.disc(1.0, 0.1),
+                                   [3.0, 4.0, 5.0, 6.0])
+
     def test_empty_divisor_fails_the_covering(self):
         X = Divisor(np.array([], dtype=complex), np.array([], dtype=int))
         with pytest.raises(PreconditionError):
@@ -321,7 +327,7 @@ class TestPsiLaplacian:
         # sqrt 2) by 1.414, and the Laplacian there is -4, not 0: reported
         # as max_dev_inside 8.01 against tol 0.15 when the overlap passed
         X = radial_rings([2, 4], [2, 3], include_center=True, center_mult=4)
-        assert disjointness_check(X, 0.0)[0] is False
+        assert disjointness_check(X, [0.0])[0][0] is False
         with pytest.raises(PreconditionError, match="discs overlap"):
             verify_psi_laplacian(X, Region.disc(6.0, 0.05))
 
