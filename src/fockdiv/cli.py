@@ -59,8 +59,8 @@ def load_divisor(cfg: configparser.ConfigParser) -> dv.Divisor:
     source = _read(cfg, "divisor.source", str, "lattice")
     if source == "file":
         path = _read(cfg, "divisor.file", str)
-        if not path or not Path(path).exists():
-            raise ParameterError(f"divisor file not found: {path!r}")
+        if not path or not Path(path).is_file():
+            raise ParameterError(f"divisor.file is not a file: {path!r}")
         return dv.Divisor.from_csv(path, alpha=alpha)
     if source == "lattice":
         return dv.lattice(spacing=_read(cfg, "divisor.spacing"),

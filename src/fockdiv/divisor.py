@@ -257,19 +257,19 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(start - ends + length, length) + np.arange(length.sum())
 
 
-def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float,
-                h: float):
+def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float):
     """Chunks (point, node, distance), in node order, of the pairs with
     |point - center| <= reach * _REACH_PAD, for any n finite points in
-    square cells of side max(h, span / (2 sqrt(n))), at most about 4 n cells.
+    square cells of side max(reach / 8, span / sqrt(n)): about one point per
+    cell, at most about n cells, and every node box within 18 rows of cells.
     Each node reads the cells meeting its box widened by half a cell, row by
     row (a slice of the points sorted by cell), ~_SCAN_CHUNK pairs at once."""
-    if points.size == 0:
+    if points.size == 0 or centers.size == 0:
         return
     # halved coordinates, so that the spans of finite points stay finite
     xy = np.array([points.real, points.imag]) / 2
     lo = xy.min(axis=1, keepdims=True)
-    side = max(h, np.ptp(xy, axis=1).max() / math.sqrt(points.size)) / 2
+    side = max(reach / 16, np.ptp(xy, axis=1).max() / math.sqrt(points.size))
     cell = np.floor((xy - lo) / side).astype(np.intp)
     nx, ny = cell.max(axis=1) + 1
     key = cell[1] * nx + cell[0]
@@ -306,22 +306,22 @@ def _node_pairs(centers: np.ndarray, reach: float):
     """(i, j, |c_j - c_i|) for the pairs i < j within reach * _REACH_PAD."""
     none = np.zeros(0, np.intp)
     j, i, d = map(np.concatenate, zip((none, none, none), *_near_pairs(
-        centers, centers, reach, reach / 4)))
+        centers, centers, reach)))
     return i[i < j], j[i < j], d[i < j]
 
 
-def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
-                 h: float) -> np.ndarray:
-    """min over nodes of |z - center| - radius, for any points z, indexed
-    in cells of side at least h.  A minimum at most h is decided by the
-    pairs within max radius + h.  Above h, every minimizing node lies within
-    d1 + (max radius - min radius) of z, d1 the distance to its nearest
-    center, so z takes its k nearest centers, k grown until the k-th lies
-    beyond that reach or k is the node count."""
+def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
+                 ) -> np.ndarray:
+    """min over nodes of |z - center| - radius, for any points z.  A
+    minimum at most 0 is decided by the pairs within max radius, the reach
+    of the count scan.  Above 0 (z in no disc), every minimizing node lies
+    within d1 + (max radius - min radius) of z, d1 the distance to its
+    nearest center, so z takes its k nearest centers, k grown until the
+    k-th lies beyond that reach or k is the node count."""
     out = np.full(points.size, np.inf)
-    for pi, ni, dist in _near_pairs(points, centers, radii.max() + h, h):
+    for pi, ni, dist in _near_pairs(points, centers, radii.max()):
         np.minimum.at(out, pi, dist - radii[ni])
-    todo, k = np.flatnonzero(out > h), 4
+    todo, k = np.flatnonzero(out > 0), 4
     tree = cKDTree(_xy(centers)) if todo.size else None
     spread = radii.max() - radii.min()
     while todo.size:
@@ -335,13 +335,11 @@ def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
     return out
 
 
-def _count_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
-                h: float) -> np.ndarray:
-    """Number of open discs D(center, radius) containing each point, the
-    points indexed in cells of side at least h."""
+def _count_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
+                ) -> np.ndarray:
+    """Number of open discs D(center, radius) containing each point."""
     counts = np.zeros(points.size, dtype=np.intp)
-    for pi, ni, dist in _near_pairs(points, centers,
-                                    radii.max(initial=0.0), h):
+    for pi, ni, dist in _near_pairs(points, centers, radii.max(initial=0.0)):
         counts += np.bincount(pi[dist < radii[ni]], minlength=points.size)
     return counts
 
@@ -376,7 +374,7 @@ def overlap_constant(divisor: Divisor, window: Region) -> int:
     pq = np.column_stack((p, q))
     pts = np.concatenate([window.grid(), centers,
                           (pq + 1e-9 * (mid - pq)).ravel()])
-    return int(_count_scan(pts, centers, radii, window.h).max())
+    return int(_count_scan(pts, centers, radii).max())
 
 
 def _margins(radii: np.ndarray, margins) -> list:
@@ -388,13 +386,13 @@ def _margins(radii: np.ndarray, margins) -> list:
     return margins
 
 
-def _margin_field(divisor, nodes, pts, h, scans) -> np.ndarray:
+def _margin_field(divisor, nodes, pts, scans) -> np.ndarray:
     """min over the nodes of |z - center| - radius at pts, one scan per node
     set kept in scans.  Shifting the radii by C shifts it by -C."""
     centers, radii = divisor.centers[nodes], divisor.radii[nodes]
     key = centers.tobytes() + radii.tobytes()
     if key not in scans:
-        scans[key] = _margin_scan(pts, centers, radii, h)
+        scans[key] = _margin_scan(pts, centers, radii)
     return scans[key]
 
 
@@ -405,16 +403,22 @@ def covering_margin(divisor: Divisor, margins, window: Region) -> list:
     rho = radius + C (expand) or radius - C over the nodes with radius > C
     (shrink; None when no radius exceeds C).  margin <= 0 means covered.
     The worst point is taken on the unshifted field, then the shift is
-    added, so every C and both modes read one scan per node set."""
+    added, so every C and both modes read one scan per node set.  Only
+    each node set's worst point and maximum are kept, so one field lives
+    at a time."""
     radii = divisor.radii
-    margins, pts, scans = _margins(radii, margins), window.grid(), {}
+    margins, pts, worst = _margins(radii, margins), window.grid(), {}
 
     def entry(nodes: np.ndarray, shift: float):
         if not nodes.any():
             return None
-        m = _margin_field(divisor, nodes, pts, window.h, scans)
-        k = m.argmax()
-        return complex(pts[k]), float(m[k]) + shift
+        key = nodes.tobytes()
+        if key not in worst:
+            m = _margin_field(divisor, nodes, pts, {})
+            k = m.argmax()
+            worst[key] = complex(pts[k]), float(m[k])
+        z, top = worst[key]
+        return z, top + shift
 
     return [(entry(np.ones(radii.size, bool), -c), entry(radii > c, c))
             for c in margins]
@@ -514,16 +518,16 @@ def triple_disc_witness(d1, d2, d3) -> tuple[tuple[int, int], float, float]:
     return (i, j), slack, area_ratio
 
 
-def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray, h: float,
+def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray,
                       edge: float, scans: dict) -> float | None:
-    """Smallest R such that the discs shrunk by C cover pts (points of a
-    mesh of step h) outside the centered disc of radius R; None when no
-    disc survives the shrink or the uncovered points reach edge.  A point
-    is uncovered where the field of the nodes {radius > C} exceeds -C."""
+    """Smallest R such that the discs shrunk by C cover pts outside the
+    centered disc of radius R; None when no disc survives the shrink or the
+    uncovered points reach edge.  A point is uncovered where the field of
+    the nodes {radius > C} exceeds -C."""
     nodes = divisor.radii > C
     if not nodes.any():
         return None
-    uncovered = pts[_margin_field(divisor, nodes, pts, h, scans) > -C]
+    uncovered = pts[_margin_field(divisor, nodes, pts, scans) > -C]
     if uncovered.size == 0:
         return 0.0
     r = float(np.abs(uncovered).max())
@@ -542,14 +546,13 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
     pts, edge = window.interior(float(divisor.radii.max(initial=0.0)))
     scans = {}
     for C in c_list:
-        if _uncovered_radius(divisor, C, pts, window.h, edge, scans) is None:
+        if _uncovered_radius(divisor, C, pts, edge, scans) is None:
             raise PreconditionError(
                 f"shrink-covering hypothesis fails for C={C}")
     keep = np.ones(len(divisor), dtype=bool)
     s_max = int(math.ceil(math.sqrt(float(divisor.mults.max()))))
     for s in range(1, s_max + 1):
-        r_s = _uncovered_radius(divisor, float(s), pts, window.h, edge,
-                                scans)
+        r_s = _uncovered_radius(divisor, float(s), pts, edge, scans)
         if r_s is None:
             continue  # no eligible discs at this shrink inside the window
         mask = ((np.abs(divisor.centers) > r_s + s)
@@ -558,7 +561,7 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
         keep &= ~mask
     thinned = divisor.subset(keep)
     for C in c_list:
-        if _uncovered_radius(thinned, C, pts, window.h, edge, scans) is None:
+        if _uncovered_radius(thinned, C, pts, edge, scans) is None:
             raise PreconditionError(
                 f"thinning broke the covering for C={C} (resolution too "
                 "coarse or window too small)")

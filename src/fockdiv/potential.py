@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, spence, xlogy
+from scipy.special import spence, xlogy
 
 from .divisor import (Divisor, Region, _count_scan, _near_pairs,
                       disjointness_check)
 from .errors import (DomainError, ParameterError, PreconditionError,
                      VerificationError)
+from .fock import coherent_coefficients
 
 RADIAL_GRID_N = 4096
 RULE_RTOL = 1e-9  # |I_64 - I_32| / I above this: the rule has not converged
@@ -159,7 +160,7 @@ def uniqueness_certificate(divisor: Divisor, window: Region, r_list
         raise ParameterError("need at least 4 radii for the certificate")
     radii = divisor.radii
     inner, edge = window.interior(float(radii.max(initial=0.0)))
-    counts = _count_scan(inner, divisor.centers, radii, window.h)
+    counts = _count_scan(inner, divisor.centers, radii)
     h2 = window.h ** 2
     uncovered = inner[counts == 0]
     if uncovered.size and np.abs(uncovered).max() >= edge:
@@ -195,20 +196,23 @@ def uniqueness_certificate(divisor: Divisor, window: Region, r_list
 # explicit weights
 # ---------------------------------------------------------------------------
 
-def weight_v(divisor: Divisor, z: complex) -> float:
+def weight_v(divisor: Divisor, z):
     """Nonpositive correction sum m [log u + 1 - u] over the discs
-    containing z, with u = alpha |z - center|^2 / m.  Returns -inf exactly
-    at a node center."""
-    z = complex(z)
-    total = 0.0
-    for lam, m in zip(divisor.centers, divisor.mults):
-        u = divisor.alpha * abs(z - lam) ** 2 / m
-        if u >= 1.0:
-            continue
-        if u == 0.0:
-            return -math.inf
-        total += m * (math.log(u) + 1.0 - u)
-    return total
+    containing z, with u = alpha |z - center|^2 / m, at one point z or an
+    array of them.  Returns -inf exactly at a node center."""
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise DomainError("weight_v needs finite points")
+    flat, v = z.ravel(), np.zeros(z.size)
+    # the pairs come in node order, so each point sums its terms node by node
+    for pi, ni, dist in _near_pairs(flat, divisor.centers,
+                                    divisor.radii.max(initial=0.0)):
+        m = divisor.mults[ni]
+        u = divisor.alpha * dist ** 2 / m
+        hit = (u < 1.0) & (u > 0.0)
+        np.add.at(v, pi[hit], m[hit] * (np.log(u[hit]) + 1.0 - u[hit]))
+        v[pi[u == 0.0]] = -np.inf
+    return v.reshape(z.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -251,28 +255,20 @@ def verify_psi_laplacian(divisor: Divisor, window: Region
     # Excluding d <= (8 m / 60)^{1/4} (h-independent) keeps that error
     # below the quoted tolerance 60 h^2.
     eps = np.maximum(10.0 * h, (8.0 * divisor.mults / 60.0) ** 0.25)
-    # Every node-wise term and mask below is decided within this reach:
-    # nodes beyond it have |z - c| - r > 2 h and |z - c| > eps.
+    # Every mask below is decided within this reach: nodes beyond it have
+    # |z - c| - r > 2 h and |z - c| > eps.
     reach = max(divisor.radii.max(initial=0.0) + 2 * h, eps.max(initial=0.0))
-    # psi = alpha |z|^2 + v; the pairs come in node order, so each point
-    # sums its disc terms node by node
-    psi = divisor.alpha * np.abs(flat) ** 2
     in_some_disc = np.zeros(flat.size, dtype=bool)
     outside_all = np.ones(flat.size, dtype=bool)
     near_edge = np.zeros(flat.size, dtype=bool)
     clear_of_centers = np.ones(flat.size, dtype=bool)
-    for pi, ni, dists in _near_pairs(flat, divisor.centers, reach, h):
-        m = divisor.mults[ni]
-        u = divisor.alpha * dists ** 2 / m
-        hit = (u < 1.0) & (u > 0.0)
-        np.add.at(psi, pi[hit], m[hit] * (np.log(u[hit]) + 1.0 - u[hit]))
+    for pi, ni, dists in _near_pairs(flat, divisor.centers, reach):
         excess = dists - divisor.radii[ni]
         in_some_disc[pi[excess < 0]] = True
         outside_all[pi[excess <= 0]] = False
         near_edge[pi[np.abs(excess) <= 2 * h]] = True
         clear_of_centers[pi[dists <= eps[ni]]] = False
-    psi[np.isin(flat, divisor.centers)] = -np.inf
-    psi = psi.reshape(zs.shape)
+    psi = divisor.alpha * np.abs(zs) ** 2 + weight_v(divisor, zs)
     lap = np.full(zs.shape, np.nan)
     lap[1:-1, 1:-1] = (psi[2:, 1:-1] + psi[:-2, 1:-1] + psi[1:-1, 2:]
                        + psi[1:-1, :-2] - 4 * psi[1:-1, 1:-1]) / (h * h)
@@ -415,23 +411,23 @@ def cutoff_interpolant_field(divisor: Divisor, payloads, z: complex,
     if len(payloads) != len(divisor):
         raise ParameterError("one payload coefficient vector per node required")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     sup_slope = _SMOOTHSTEP_MAX_SLOPE / margin
     F = 0.0 + 0.0j
     bound = 0.0
-    for lam, r, payload in zip(divisor.centers, divisor.radii, payloads):
-        lam = complex(lam)
-        s = abs(z - lam) - (r + margin)
-        if s >= 0:
-            continue
-        coeffs = np.asarray(getattr(payload, "coeffs", payload), dtype=complex)
+    depth = np.abs(z - divisor.centers) - (divisor.radii + margin)
+    for k in np.flatnonzero(depth < 0):
+        lam, s = complex(divisor.centers[k]), float(depth[k])
+        coeffs = np.asarray(getattr(payloads[k], "coeffs", payloads[k]),
+                            dtype=complex)
+        # sum_j c_j w^j / sqrt(j!) is e^{|w|^2/2} c . (coherent vector at
+        # conj w); that factor joins the exponent
         w = z - lam
-        js = np.arange(coeffs.size)
-        if w == 0:
-            pw = complex(coeffs[0])
-        else:
-            pw = complex(np.sum(coeffs * np.exp(js * cmath.log(w)
-                                                - 0.5 * gammaln(js + 1))))
-        Q = cmath.exp(lam.conjugate() * z - abs(lam) ** 2 / 2) * pw
+        jets = complex(coeffs @ coherent_coefficients(w.conjugate(),
+                                                      coeffs.size))
+        Q = cmath.exp(lam.conjugate() * z
+                      - (abs(lam) ** 2 - abs(w) ** 2) / 2) * jets
         if s <= -margin:
             eta = 1.0
         else:

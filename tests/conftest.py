@@ -129,6 +129,22 @@ def dense_margin_scan(points, centers, radii) -> np.ndarray:
             - radii[None, :]).min(axis=1)
 
 
+def weight_v_loop(divisor: dv.Divisor, z: complex) -> float:
+    """The correction v at one point, node by node: sum m [log u + 1 - u]
+    over the discs containing z, u = alpha |z - center|^2 / m, and -inf
+    at a center."""
+    z = complex(z)
+    total = 0.0
+    for lam, m in zip(divisor.centers, divisor.mults):
+        u = divisor.alpha * abs(z - lam) ** 2 / m
+        if u >= 1.0:
+            continue
+        if u == 0.0:
+            return -math.inf
+        total += m * (math.log(u) + 1.0 - u)
+    return total
+
+
 def dense_disjointness_check(centers, rho) -> tuple[bool, tuple]:
     """Worst pair violation rho_i + rho_j - |c_j - c_i| over every pair
     i < j, the first maximum in (i, j) order."""

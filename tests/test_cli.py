@@ -193,6 +193,15 @@ class TestExitCodes:
                       "frame")
         assert code == EXIT_PRECONDITION
 
+    def test_divisor_file_is_a_directory(self, tmp_path, capsys):
+        # open() raised IsADirectoryError: exit 1 as an internal error
+        code, _ = run(tmp_path, "f", FRAME_CFG.format(path=str(tmp_path)),
+                      "frame")
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "is not a file" in err
+        assert "internal error" not in err and "Traceback" not in err
+
     def test_malformed_divisor_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("re,im,multiplicity\n1,oops,3\n", encoding="utf-8")

@@ -10,7 +10,7 @@ from scipy import integrate
 
 import fockdiv.potential as pt
 from conftest import (child_peak_rss_mb, radial_glue_errors,
-                      ring_log_oracle)
+                      ring_log_oracle, weight_v_loop)
 from fockdiv.divisor import (Divisor, Region, disjointness_check, lattice,
                              radial_rings)
 from fockdiv.errors import (DomainError, ParameterError, PreconditionError,
@@ -206,8 +206,8 @@ class TestUniquenessCertificate:
         scan = pt._count_scan
 
         def certify_with_uncovered(target):
-            def uncover(points, centers, radii, h):
-                counts = scan(points, centers, radii, h)
+            def uncover(points, centers, radii):
+                counts = scan(points, centers, radii)
                 counts[np.abs(points) == target] = 0
                 return counts
             monkeypatch.setattr(pt, "_count_scan", uncover)
@@ -269,6 +269,32 @@ class TestWeightV:
     def test_continuous_at_disc_boundary(self):
         X = Divisor(np.array([0j]), np.array([9]))
         assert weight_v(X, 3.0 - 1e-9) == pytest.approx(0.0, abs=1e-8)
+
+    def test_array_matches_pointwise_loop(self):
+        # overlapping discs of mixed multiplicity at alpha 1.5, on a mesh
+        # through every center, with one point outside every disc.  np.abs
+        # and np.log may differ from abs and math.log by an ulp or two, so
+        # each term m (log u + 1 - u) by a few ulps of m (|log u| + 2)
+        X = Divisor(np.array([0j, 1 + 1j, 2.5 + 0j]), np.array([4, 2, 9]),
+                    alpha=1.5)
+        zs = np.r_[Region.rectangle(-3, 5, -3, 4, 0.25).grid(), 40.0 + 0j]
+        v = weight_v(X, zs.reshape(1, -1))
+        assert v.shape == (1, zs.size)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(
+            v[0], [weight_v_loop(X, z) for z in zs], rtol=64 * eps,
+            atol=64 * eps * X.mults.sum())
+        assert v[0, np.isin(zs, X.centers)].tolist() == [-math.inf] * 3
+        assert v[0, -1] == 0.0
+        empty = Divisor(np.array([], dtype=complex), np.array([], dtype=int))
+        assert weight_v(empty, zs).tolist() == [0.0] * zs.size
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf),
+                                   np.array([0.5, math.nan])])
+    def test_rejects_non_finite_points(self, z):
+        X = Divisor(np.array([0j]), np.array([4]))
+        with pytest.raises(DomainError, match="finite points"):
+            weight_v(X, z)
 
     @given(x=st.floats(min_value=-4, max_value=4),
            y=st.floats(min_value=-4, max_value=4))
@@ -438,6 +464,13 @@ class TestCutoffField:
         payloads = [CoefVec(np.array([1.0 + 0j]))] * 2
         with pytest.raises(PreconditionError):
             cutoff_interpolant_field(X, payloads, 0.0, 0.5)
+
+    def test_rejects_non_finite_point(self):
+        # the nodes holding z come from one distance test, which no nan
+        # passes: F would read 0
+        X, payloads = self._system()
+        with pytest.raises(DomainError):
+            cutoff_interpolant_field(X, payloads, complex(math.nan, 0), 0.5)
 
     def test_rejects_bad_margin_and_alpha(self):
         X, payloads = self._system()
