@@ -102,8 +102,7 @@ def cmd_geometry(cfg) -> dict[str, list[str]]:
     W = load_window(cfg)
     margins = _read(cfg, "geometry.margins", _floats, "0.0")
     rows = ["record,C,mode,value,aux1,aux2"]
-    s_est = dv.overlap_constant(X, W)
-    rows.append(f"overlap_constant,,,{s_est},,")
+    rows.append(f"overlap_constant,,,{dv.overlap_constant(X)},,")
     covering = dv.covering_margin(X, margins, W)
     disjoint = dv.disjointness_check(X, margins)
     for C, entries, (ok, worst) in zip(margins, covering, disjoint):

@@ -64,6 +64,11 @@ class Divisor:
         if not np.all(np.abs(centers) <= _CENTER_LIMIT):
             raise DomainError(f"|center| must be finite, <= {_CENTER_LIMIT:g}")
         _check_alpha(self.alpha)
+        # sqrt(m) / sqrt(alpha) stays finite where m / alpha may overflow
+        if np.sqrt(mults.max(initial=1)) / math.sqrt(self.alpha) \
+                > _CENTER_LIMIT:
+            raise DomainError(f"disc radii sqrt(m / alpha) must be at most "
+                              f"{_CENTER_LIMIT:g}")
         if centers.size != np.unique(centers).size:
             raise ParameterError("centers must be pairwise distinct")
         object.__setattr__(self, "centers", centers)
@@ -135,9 +140,12 @@ def lattice(spacing: float, mult: int, extent: float, alpha: float = 1.0,
         raise DomainError("spacing, extent and hole_radius must be finite")
     if spacing <= 0 or extent <= 0:
         raise ParameterError("spacing and extent must be positive")
-    n = np.floor(extent / spacing)  # in floats: a tiny spacing gives inf
-    _check_size((2 * n + 1) ** 2, "lattice")
-    coords = spacing * np.arange(-int(n), int(n) + 1)
+    n = float(extent) / float(spacing)  # a tiny spacing gives inf
+    # the node count exact below the cap, and above it in Python floats,
+    # which reach inf without a warning
+    side = 2 * math.floor(n) + 1 if n <= MAX_GRID_POINTS else 2 * n + 1
+    _check_size(side * side, "lattice")
+    coords = spacing * (np.arange(side) - side // 2)
     xs, ys = np.meshgrid(coords, coords)
     centers = (xs + 1j * ys).ravel()
     if hole_radius > 0:
@@ -360,21 +368,21 @@ def _circle_intersections(c1, r1, c2, r2):
     return meets, mid + off, mid - off
 
 
-def overlap_constant(divisor: Divisor, window: Region) -> int:
-    """Max covering count over the window grid, enriched with centers and
-    pairwise circle intersection points.  A certified lower bound for (and
-    a heuristic estimate of) the true overlap constant."""
+def overlap_constant(divisor: Divisor) -> int:
+    """Largest number of open discs sharing a point of the plane, exact: the
+    deepest face is a whole disc or has a circle crossing as a corner, and
+    a crossing nudged along the sum of its two inward unit normals lies in
+    every disc of the deepest wedge there, so centers and crossings suffice."""
     centers, radii = divisor.centers, divisor.radii
     # Circles meet only at center distance <= r_i + r_j <= 2 max radius.
     i, j, _ = _node_pairs(centers, 2 * radii.max(initial=0.0))
     meets, p, q = _circle_intersections(centers[i], radii[i],
                                         centers[j], radii[j])
-    # Nudge inward so open-disc membership is unambiguous.
-    mid = ((centers[i] + centers[j]) / 2)[meets, None]
-    pq = np.column_stack((p, q))
-    pts = np.concatenate([window.grid(), centers,
-                          (pq + 1e-9 * (mid - pq)).ravel()])
-    return int(_count_scan(pts, centers, radii).max())
+    i, j, pq = i[meets, None], j[meets, None], np.column_stack((p, q))
+    inward = (centers[i] - pq) / radii[i] + (centers[j] - pq) / radii[j]
+    pq += np.maximum(1e-9, 4 * np.spacing(np.abs(pq))) * inward
+    return int(_count_scan(np.concatenate([centers, pq.ravel()]), centers,
+                           radii).max(initial=0))
 
 
 def _margins(radii: np.ndarray, margins) -> list:

@@ -15,9 +15,9 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import cython_blas
 
-from .divisor import Divisor
-from .errors import (NotInterpolatingError, ParameterError, ResourceError,
-                     VerificationError)
+from .divisor import _CENTER_LIMIT, Divisor
+from .errors import (DomainError, NotInterpolatingError, ParameterError,
+                     ResourceError, VerificationError)
 from .fock import coherent_coefficients, displacement_matrix, \
     kernel_sampling_energy
 
@@ -63,10 +63,16 @@ def _row_blocks(divisor: Divisor, truncation: int):
     its displacement matrix, unconjugated, as its rows.  The nodes of each
     multiplicity run by increasing |center| (stable), so a block's rows
     peak at nearby degrees: the row of a node lambda lives near degree
-    |lambda|^2.  The generator keeps no reference to a block it yielded."""
+    |lambda|^2.  The generator keeps no reference to a block it yielded.
+    A normalized center beyond _CENTER_LIMIT raises DomainError before
+    any block is built."""
     # Internal weight normalization: center z at weight alpha behaves like
-    # sqrt(alpha) z at weight 1, multiplicities unchanged.
+    # sqrt(alpha) z at weight 1, multiplicities unchanged.  Finite, as
+    # |z| <= _CENTER_LIMIT and sqrt(alpha) < 1.4e154.
     centers = math.sqrt(divisor.alpha) * divisor.centers
+    if not np.all(np.abs(centers) <= _CENTER_LIMIT):
+        raise DomainError(f"normalized centers sqrt(alpha) |center| must be "
+                          f"at most {_CENTER_LIMIT:g}")
     mults = divisor.mults
     first_row = np.cumsum(mults) - mults
     for m in np.unique(mults):
@@ -280,15 +286,16 @@ def frame_bounds(divisor: Divisor, truncation: int) -> FrameReport:
 
 def symmetric_pair_report(a: float, mult: int, truncation: int
                           ) -> FrameReport:
-    """frame_bounds of the nodes -a and +a (a > 0, weight 1), each of
-    multiplicity m = mult, at N = truncation >= 2m.  The -a rows are
-    (-1)^(j+k) times the real +a rows, so R = sqrt(2) Q blockdiag(E, O) Pi
-    (Q orthogonal; E, O the even and odd columns of the +a rows): two real
-    m x N/2 SVDs in _svd_report, not one complex 2m x N.  Tail as in
-    frame_sweep."""
-    if not 0 < a < math.inf or truncation < 2 * mult:
-        raise ParameterError(f"symmetric pair needs a > 0, truncation >= "
-                             f"2 mult; got {a}, {mult}, {truncation}")
+    """frame_bounds of the nodes -a and +a (0 < a <= _CENTER_LIMIT, the
+    limit Divisor puts on centers; weight 1), each of multiplicity m = mult,
+    at N = truncation >= 2m.  The -a rows are (-1)^(j+k) times the real +a
+    rows, so R = sqrt(2) Q blockdiag(E, O) Pi (Q orthogonal; E, O the even
+    and odd columns of the +a rows): two real m x N/2 SVDs in _svd_report,
+    not one complex 2m x N.  Tail as in frame_sweep."""
+    if not 0 < a <= _CENTER_LIMIT or truncation < 2 * mult:
+        raise ParameterError(f"symmetric pair needs 0 < a <= "
+                             f"{_CENTER_LIMIT:g}, truncation >= 2 mult; "
+                             f"got {a}, {mult}, {truncation}")
     if truncation * mult > MAX_ENTRIES:
         raise ResourceError(f"symmetric pair would hold {truncation * mult} "
                             f"entries (cap {MAX_ENTRIES})")

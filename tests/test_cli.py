@@ -304,6 +304,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "internal error" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,cfg,code", [
+        ("dichotomy", "[dichotomy]\nmultiplicities = 2\nparams = 1e154\n",
+         EXIT_PRECONDITION),
+        ("dichotomy", "[dichotomy]\nmultiplicities = 2\nparams = 1e150\n",
+         EXIT_PRECONDITION),
+        ("frame", "[divisor]\nspacing = 2\nmultiplicity = 1\nextent = 4\n"
+                  "alpha = 1e308\n[frame]\ntruncations = 10\n",
+         EXIT_PRECONDITION),
+        ("geometry", "[divisor]\nspacing = 1e149\nmultiplicity = 1000000\n"
+                     "extent = 1e149\nalpha = 1e-308\n[window]\nradius = 5\n",
+         EXIT_PRECONDITION),
+        ("frame", "[divisor]\nspacing = 1e-300\nmultiplicity = 1\n"
+                  "extent = 2.2\n[frame]\ntruncations = 10\n", EXIT_RESOURCE),
+    ], ids=["dichotomy-far-pair", "dichotomy-pair-past-limit",
+            "frame-heavy-alpha", "geometry-light-alpha",
+            "frame-lattice-count-overflow"])
+    def test_overflowing_inputs(self, tmp_path, capsys, command, cfg, code):
+        # each exited 1 after RuntimeWarnings (overflow in fock._modulus,
+        # Divisor.radii, _near_pairs or the lattice count), or, for the pair
+        # at 1e150, exited 0 printing A = 0 and M_X = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "o", cfg, command)[0] == code
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("margins", ["nan", "inf", "0,-inf"])
     def test_non_finite_margin(self, tmp_path, margins):
         cfg = GEOMETRY_CFG.replace("margins = 0.0,0.25",
@@ -494,6 +520,22 @@ class TestReports:
                  in report_body(out, "geometry.csv").splitlines()
                  if ln.endswith("empty-system,,")]
         assert empty == ["3", "3.5"]
+
+    def test_geometry_reads_the_window_grid_once(self, tmp_path,
+                                                 monkeypatch):
+        # covering_margin reads the grid; the overlap constant, from the
+        # disc arrangement alone, does not
+        calls = []
+        grid = dv.Region.grid
+
+        def counted(self):
+            calls.append(self)
+            return grid(self)
+        monkeypatch.setattr(dv.Region, "grid", counted)
+        assert main(["geometry", "--config",
+                     str(ROOT / "configs" / "geometry.ini"),
+                     "--out", str(tmp_path / "g")]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_geometry_searches_node_pairs_twice(self, tmp_path,
                                                 monkeypatch):

@@ -59,6 +59,19 @@ class TestDivisorModel:
         X = Divisor.loads("re,im,multiplicity\n1e150,0,1\n0,-1e150,1\n")
         assert len(X) == 2
 
+    @pytest.mark.parametrize("mult,alpha,radius", [
+        (1, 1e-299, 3.16e149), (10 ** 6, 1e-288, 1e147)])
+    def test_accepts_radii_up_to_limit(self, mult, alpha, radius):
+        X = Divisor(np.array([0j]), np.array([mult]), alpha)
+        assert X.radii[0] == pytest.approx(radius, rel=0.01)
+
+    @pytest.mark.parametrize("mult,alpha", [
+        (1, 1e-301), (10 ** 6, 1e-296), (10 ** 6, 1e-308)])
+    def test_rejects_radii_beyond_limit(self, mult, alpha):
+        # m / alpha overflows at 1e6 / 1e-308; sqrt(m) / sqrt(alpha) does not
+        with pytest.raises(DomainError, match="sqrt"):
+            Divisor(np.array([0j]), np.array([mult]), alpha)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path, rng):
@@ -149,8 +162,11 @@ class TestConstructions:
         lambda: lattice(0.005, 1, 5.0),  # 2001^2 = 4,004,001 nodes
         lambda: lattice(1e-320, 1, 5.0),  # extent / spacing = inf
         lambda: radial_rings([1.9e6], [2]),  # about 4.2e6 nodes
-        lambda: radial_rings([1e200], [1], alpha=1e300)],  # count = inf
-        ids=["lattice", "lattice-inf", "rings", "rings-inf"])
+        lambda: radial_rings([1e200], [1], alpha=1e300),  # count = inf
+        # extent / spacing finite, its square not
+        lambda: lattice(1e-300, 1, 2.2), lambda: lattice(2.2, 1, 1e200)],
+        ids=["lattice", "lattice-inf", "rings", "rings-inf",
+             "lattice-tiny-spacing", "lattice-huge-extent"])
     def test_generator_cap_raises_before_allocating(self, build,
                                                     monkeypatch):
         # just above MAX_GRID_POINTS: the node count alone must stop it
@@ -258,25 +274,40 @@ class TestOverlap:
 
     def test_constant_two_discs(self):
         X = Divisor(np.array([0j, 1 + 0j]), np.array([1, 1]))
-        W = Region.disc(3.0, 0.1)
-        assert overlap_constant(X, W) == 2
+        assert overlap_constant(X) == 2
 
     def test_thin_lens_detected(self):
-        # the doubly covered lens is thinner than the scan resolution;
-        # the circle-intersection enrichment still finds it
+        # the doubly covered lens is thinner than any scan resolution; the
+        # nudged crossings find it
         X = Divisor(np.array([0j, 1.99 + 0j]), np.array([1, 1]))
-        W = Region.disc(4.0, 0.5)
-        assert overlap_constant(X, W) == 2
+        assert overlap_constant(X) == 2
+
+    @pytest.mark.parametrize("centers,mults,depth", [
+        # the circles of 2 u(0) (radius 2), u(60) and u(175) all pass
+        # through 0, u(d) the unit vector at d degrees; the triple face is
+        # a thin wedge there, holding 0.003381774294767273 +
+        # 0.11625687406113995j inside every disc by at least 3.8e-12
+        # (mpmath, 50 digits).  A nudge toward the middle of two centres,
+        # or a mesh at h = 0.01, finds only 2.
+        (np.array([2, 1, 1]) * np.exp(1j * np.radians([0, 60, 175])),
+         [4, 1, 1], 3),
+        # a fixed nudge of 1e-9 is below the spacing of floats past 1e8
+        *[(off + np.array([0.75j, -0.75j]), [1, 1], 2)
+          for off in (0.0, 1e6, 1e7, 1e8, 1e9)],
+        (np.zeros(0, complex), np.zeros(0, int), 0),
+    ], ids=["triple-point", "lens-0", "lens-1e6", "lens-1e7", "lens-1e8",
+            "lens-1e9", "empty"])
+    def test_exact_depth(self, centers, mults, depth):
+        assert overlap_constant(Divisor(centers, np.array(mults))) == depth
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_monotone_under_adding_nodes(self, seed):
         rng = np.random.default_rng(seed)
         X = random_divisor(rng, max_nodes=5)
-        W = Region.disc(8.0, 0.4)
-        full = overlap_constant(X, W)
+        full = overlap_constant(X)
         sub = X.subset(np.arange(len(X)) < max(1, len(X) - 1))
-        assert overlap_constant(sub, W) <= full
+        assert overlap_constant(sub) <= full
 
 
 @st.composite
@@ -422,7 +453,7 @@ class TestNeighbourScans:
                                   dense_count_scan(points, c, r))
             assert np.array_equal(_margin_scan(points, c, r),
                                   dense_margin_scan(points, c, r))
-            assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+            assert overlap_constant(X) == dense_overlap_constant(X, W)
 
     def test_point_off_the_mesh_alone_in_its_cell(self):
         # 0.75 lies half a step off the mesh through 0
@@ -478,12 +509,13 @@ class TestNeighbourScans:
         assert pairs == [(2, 0), (3, 1)]
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    @example(seed=10000)  # a nudge toward the middle of the centres gave 1
     @settings(max_examples=25, deadline=None)
     def test_overlap_constant_matches_dense_enrichment(self, seed):
         rng = np.random.default_rng(seed)
         X = random_divisor(rng, max_nodes=12, max_mult=6, scale=1.5)
         W = Region.disc(5.0, 0.7)
-        assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+        assert overlap_constant(X) == dense_overlap_constant(X, W)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            margins=st.lists(st.sampled_from([-4.0, 0.0, 0.5, 1.5, 2.5]),
@@ -513,12 +545,12 @@ class TestNeighbourScans:
                     else np.array(mults))
         for W in (Region.disc(5.0, 0.25),
                   Region.rectangle(-2.6, 3.1, -1.9, 2.3, 0.3)):
-            assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+            assert overlap_constant(X) == dense_overlap_constant(X, W)
 
     def test_overlap_constant_lattice(self):
         X = lattice(1.5, 2, 6.0, hole_radius=2.0)
         W = Region.disc(7.0, 0.3)
-        assert overlap_constant(X, W) == dense_overlap_constant(X, W)
+        assert overlap_constant(X) == dense_overlap_constant(X, W)
 
     def test_uniqueness_config_scans_bounded_memory(self):
         # the dense scans peaked above 600 MB on this lattice and window
@@ -539,7 +571,7 @@ class TestNeighbourScans:
         ("uniqueness", "covering_margin(X, [0.0], W)\n"
                        "_count_scan(W.grid(), X.centers, X.radii)\n"),
         ("geometry", "covering_margin(X, [0.0, 0.5], W)\n"
-                     "overlap_constant(X, W)\n"),
+                     "overlap_constant(X)\n"),
     ])
     def test_bench_config_scans_peak_memory(self, workload, scans,
                                             tmp_path):

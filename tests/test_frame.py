@@ -15,10 +15,9 @@ from scipy import linalg
 
 import fockdiv.frame as fr
 from conftest import child_peak_rss_mb, frame_oracle, random_divisor
-from fockdiv.divisor import (Divisor, Region, lattice, overlap_constant,
-                             radial_rings)
-from fockdiv.errors import (NotInterpolatingError, ParameterError,
-                            ResourceError, VerificationError)
+from fockdiv.divisor import Divisor, lattice, overlap_constant, radial_rings
+from fockdiv.errors import (DomainError, NotInterpolatingError,
+                            ParameterError, ResourceError, VerificationError)
 from fockdiv.fock import CoefVec, coherent_coefficients, restriction_values
 from fockdiv.frame import (RANK_RTOL, ROW_BLOCK, WINDOW_FLOOR, FrameReport,
                            _row_blocks, frame_bounds, frame_sweep,
@@ -80,6 +79,24 @@ class TestRestrictionMatrix:
         with pytest.raises(ResourceError):
             restriction_matrix(X, 10_000)
 
+    @pytest.mark.parametrize("build", [
+        lambda X: frame_sweep(X, [4, 10]), lambda X: restriction_matrix(X, 4)],
+        ids=["sweep", "restriction"])
+    def test_normalized_center_limit(self, build, monkeypatch):
+        # sqrt(alpha) |center| at 0.9e150 is built without a warning; at
+        # 1.1e150, and at alpha = 1e308 on a small lattice, it is refused
+        # before any row is built (its squared modulus used to overflow)
+        centers, mults = np.array([0j, 0.9e150 + 0j]), np.array([1, 3])
+        build(Divisor(centers, mults, 1.0))
+
+        def unreachable(*args):
+            raise AssertionError("rows built past the center limit")
+        monkeypatch.setattr(fr, "displacement_matrix", unreachable)
+        for X in (Divisor(centers, mults, 1.5),
+                  lattice(2.0, 1, 4.0, alpha=1e308)):
+            with pytest.raises(DomainError, match="normalized centers"):
+                build(X)
+
 
 class TestFrameBounds:
     def test_empty_divisor(self):
@@ -108,8 +125,7 @@ class TestFrameBounds:
         # B is controlled by the covering count of slightly expanded discs
         X = lattice(spacing=1.5, mult=2, extent=8.0)
         rep = frame_bounds(X, 80)
-        W = Region.disc(9.5, 0.15)
-        s_est = overlap_constant(X, W)
+        s_est = overlap_constant(X)
         assert rep.upper <= 3.0 * s_est
 
     def test_wide_r_at_large_truncation(self):
@@ -526,7 +542,7 @@ class TestSymmetricPair:
 
     @pytest.mark.parametrize("a,mult,n", [
         (0.0, 4, 8), (-1.0, 4, 8), (math.nan, 4, 8), (math.inf, 4, 8),
-        (1.0, 4, 7), (1.0, 0, 4)])
+        (1.0, 4, 7), (1.0, 0, 4), (1.5e150, 4, 8)])
     def test_rejects_bad_arguments(self, a, mult, n):
         with pytest.raises(ParameterError):
             symmetric_pair_report(a, mult, n)
