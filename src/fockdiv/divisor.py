@@ -369,20 +369,19 @@ def _circle_intersections(c1, r1, c2, r2):
 
 
 def overlap_constant(divisor: Divisor) -> int:
-    """Largest number of open discs sharing a point of the plane, exact: the
-    deepest face is a whole disc or has a circle crossing as a corner, and
-    a crossing nudged along the sum of its two inward unit normals lies in
-    every disc of the deepest wedge there, so centers and crossings suffice."""
-    centers, radii = divisor.centers, divisor.radii
+    """Most open discs sharing a point.  The deepest face holds a center or
+    has a circle crossing as a corner; that crossing, nudged along the sum
+    of its two inward unit normals by 1e-9 of the smaller radius or 4 ulp
+    of the crossing, whichever is larger, lies in the face unless the face
+    is narrower than the nudge.  A lower bound always, exact but for that."""
+    c, r = divisor.centers, divisor.radii
     # Circles meet only at center distance <= r_i + r_j <= 2 max radius.
-    i, j, _ = _node_pairs(centers, 2 * radii.max(initial=0.0))
-    meets, p, q = _circle_intersections(centers[i], radii[i],
-                                        centers[j], radii[j])
+    i, j, _ = _node_pairs(c, 2 * r.max(initial=0.0))
+    meets, p, q = _circle_intersections(c[i], r[i], c[j], r[j])
     i, j, pq = i[meets, None], j[meets, None], np.column_stack((p, q))
-    inward = (centers[i] - pq) / radii[i] + (centers[j] - pq) / radii[j]
-    pq += np.maximum(1e-9, 4 * np.spacing(np.abs(pq))) * inward
-    return int(_count_scan(np.concatenate([centers, pq.ravel()]), centers,
-                           radii).max(initial=0))
+    pq += (np.maximum(1e-9 * np.minimum(r[i], r[j]), 4 * np.spacing(abs(pq)))
+           * ((c[i] - pq) / r[i] + (c[j] - pq) / r[j]))
+    return int(_count_scan(np.append(c, pq), c, r).max(initial=0))
 
 
 def _margins(radii: np.ndarray, margins) -> list:

@@ -180,14 +180,15 @@ def circle_intersections(c1, r1, c2, r2) -> tuple:
 def dense_overlap_constant(divisor: dv.Divisor, window: dv.Region) -> int:
     """Dense counts at the window grid, the centers and the intersection
     points of every node pair, each nudged along the sum of its two inward
-    unit normals by max(1e-9, 4 ulp): an equality with overlap_constant
-    also says that the grid finds nothing deeper."""
+    unit normals by max(1e-9 min(r_i, r_j), 4 ulp): an equality with
+    overlap_constant also says that the grid finds nothing deeper."""
     c, r = divisor.centers, divisor.radii
     extra = [window.grid(), c]
     for i in range(len(divisor)):
         for j in range(i + 1, len(divisor)):
             for p in circle_intersections(c[i], r[i], c[j], r[j]):
-                step = max(1e-9, 4 * float(np.spacing(abs(p))))
+                step = max(1e-9 * min(r[i], r[j]),
+                           4 * float(np.spacing(abs(p))))
                 inward = (c[i] - p) / r[i] + (c[j] - p) / r[j]
                 extra.append(np.array([p + step * inward]))
     pts = np.concatenate(extra)

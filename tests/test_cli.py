@@ -537,6 +537,21 @@ class TestReports:
                      "--out", str(tmp_path / "g")]) == EXIT_OK
         assert len(calls) == 1
 
+    def test_geometry_overlap_constant_at_heavy_alpha(self, tmp_path):
+        # GEOMETRY_CFG scaled by 1e-10: discs of radius sqrt(2) 1e-10, far
+        # smaller than a crossing nudge of 1e-9, which read 3
+        scaled = GEOMETRY_CFG.replace("spacing = 1.5", "spacing = 1.5e-10") \
+            .replace("extent = 6", "extent = 6e-10\nalpha = 1e20") \
+            .replace("radius = 7", "radius = 7e-10") \
+            .replace("h = 0.2", "h = 2e-11")
+        rows = []
+        for name, cfg in (("g", GEOMETRY_CFG), ("s", scaled)):
+            code, out = run(tmp_path, name, cfg, "geometry")
+            assert code == EXIT_OK
+            rows += [ln for ln in report_body(out, "geometry.csv")
+                     .splitlines() if ln.startswith("overlap_constant,")]
+        assert rows == ["overlap_constant,,,4,,"] * 2
+
     def test_geometry_searches_node_pairs_twice(self, tmp_path,
                                                 monkeypatch):
         # one search for the overlap constant's crossings, at 2 max radius,

@@ -282,7 +282,7 @@ class TestOverlap:
         X = Divisor(np.array([0j, 1.99 + 0j]), np.array([1, 1]))
         assert overlap_constant(X) == 2
 
-    @pytest.mark.parametrize("centers,mults,depth", [
+    @pytest.mark.parametrize("centers,mults,depth,alpha", [
         # the circles of 2 u(0) (radius 2), u(60) and u(175) all pass
         # through 0, u(d) the unit vector at d degrees; the triple face is
         # a thin wedge there, holding 0.003381774294767273 +
@@ -290,15 +290,23 @@ class TestOverlap:
         # (mpmath, 50 digits).  A nudge toward the middle of two centres,
         # or a mesh at h = 0.01, finds only 2.
         (np.array([2, 1, 1]) * np.exp(1j * np.radians([0, 60, 175])),
-         [4, 1, 1], 3),
+         [4, 1, 1], 3, 1.0),
         # a fixed nudge of 1e-9 is below the spacing of floats past 1e8
-        *[(off + np.array([0.75j, -0.75j]), [1, 1], 2)
+        *[(off + np.array([0.75j, -0.75j]), [1, 1], 2, 1.0)
           for off in (0.0, 1e6, 1e7, 1e8, 1e9)],
-        (np.zeros(0, complex), np.zeros(0, int), 0),
+        (np.zeros(0, complex), np.zeros(0, int), 0, 1.0),
+        # the same figures scaled by 1 / sqrt(alpha): a nudge that does not
+        # scale with the radii leaves the lens of radius 1e-10 and the
+        # wedge at either scale
+        (np.array([0, 1.5e-10]), [1, 1], 2, 1e20),
+        *[(np.array([2, 1, 1]) * np.exp(1j * np.radians([0, 60, 175]))
+           / np.sqrt(alpha), [4, 1, 1], 3, alpha) for alpha in (1e20, 1e-20)],
     ], ids=["triple-point", "lens-0", "lens-1e6", "lens-1e7", "lens-1e8",
-            "lens-1e9", "empty"])
-    def test_exact_depth(self, centers, mults, depth):
-        assert overlap_constant(Divisor(centers, np.array(mults))) == depth
+            "lens-1e9", "empty", "lens-alpha-1e20", "triple-point-alpha-1e20",
+            "triple-point-alpha-1e-20"])
+    def test_exact_depth(self, centers, mults, depth, alpha):
+        X = Divisor(centers, np.array(mults), alpha)
+        assert overlap_constant(X) == depth
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
