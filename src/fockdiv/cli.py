@@ -212,7 +212,7 @@ def main(argv=None) -> int:
         print(f"fockdiv: --out {args.out} is not a directory", file=sys.stderr)
         return EXIT_PRECONDITION
     try:
-        cfg.read(args.config, encoding="utf-8")
+        cfg.read(args.config, encoding="utf-8-sig")  # a BOM is dropped
         header = _provenance(cfg, args.command)
         # each study returns its reports as CSV rows, keyed by file name
         for name, rows in _COMMANDS[args.command](cfg).items():

@@ -33,11 +33,18 @@ _CENTER_LIMIT = 1e150
 MAX_GRID_POINTS = 4_000_000
 
 
-def _check_size(points, what: str) -> None:
-    """ResourceError, before any allocation, above MAX_GRID_POINTS."""
-    if points > MAX_GRID_POINTS:
-        raise ResourceError(f"{what} of {points:.0f} points exceeds the cap "
-                            f"of {MAX_GRID_POINTS}")
+def _check_limit(values, what: str) -> None:
+    """DomainError unless every |value| is at most _CENTER_LIMIT."""
+    if not np.all(np.abs(values) <= _CENTER_LIMIT):
+        raise DomainError(f"{what} must be finite, at most {_CENTER_LIMIT:g}")
+
+
+def _check_size(count, what: str, cap: int) -> None:
+    """ResourceError, before any allocation, when count passes cap; an int
+    count is shown exactly, whatever its size."""
+    if count > cap:
+        shown = f"{count:.0f}" if isinstance(count, float) else count
+        raise ResourceError(f"{what} of {shown} exceeds the cap of {cap}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -61,14 +68,11 @@ class Divisor:
             raise ParameterError("centers and multiplicities differ in length")
         if np.any(mults < 1):
             raise DomainError("multiplicities must be >= 1")
-        if not np.all(np.abs(centers) <= _CENTER_LIMIT):
-            raise DomainError(f"|center| must be finite, <= {_CENTER_LIMIT:g}")
+        _check_limit(centers, "centers")
         _check_alpha(self.alpha)
         # sqrt(m) / sqrt(alpha) stays finite where m / alpha may overflow
-        if np.sqrt(mults.max(initial=1)) / math.sqrt(self.alpha) \
-                > _CENTER_LIMIT:
-            raise DomainError(f"disc radii sqrt(m / alpha) must be at most "
-                              f"{_CENTER_LIMIT:g}")
+        _check_limit(np.sqrt(mults.max(initial=1)) / math.sqrt(self.alpha),
+                     "disc radii sqrt(m / alpha)")
         if centers.size != np.unique(centers).size:
             raise ParameterError("centers must be pairwise distinct")
         object.__setattr__(self, "centers", centers)
@@ -103,7 +107,7 @@ class Divisor:
 
     @classmethod
     def from_csv(cls, path, alpha: float = 1.0) -> "Divisor":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a BOM is dropped
             return cls.loads(fh.read(), alpha=alpha, name=str(path))
 
     @classmethod
@@ -141,10 +145,9 @@ def lattice(spacing: float, mult: int, extent: float, alpha: float = 1.0,
     if spacing <= 0 or extent <= 0:
         raise ParameterError("spacing and extent must be positive")
     n = float(extent) / float(spacing)  # a tiny spacing gives inf
-    # the node count exact below the cap, and above it in Python floats,
-    # which reach inf without a warning
-    side = 2 * math.floor(n) + 1 if n <= MAX_GRID_POINTS else 2 * n + 1
-    _check_size(side * side, "lattice")
+    # the node count exact, or inf where the ratio overflowed
+    side = 2 * math.floor(n) + 1 if n < math.inf else n
+    _check_size(side * side, "lattice nodes", MAX_GRID_POINTS)
     coords = spacing * (np.arange(side) - side // 2)
     xs, ys = np.meshgrid(coords, coords)
     centers = (xs + 1j * ys).ravel()
@@ -173,7 +176,7 @@ def radial_rings(ring_radii, ring_mults, counts=None, alpha: float = 1.0,
             counts = np.maximum(1, np.ceil(
                 np.pi * np.asarray(ring_radii, float)
                 / np.sqrt(np.divide(ring_mults, alpha))))
-    _check_size(sum(counts) + include_center, "ring family")
+    _check_size(sum(counts) + include_center, "ring nodes", MAX_GRID_POINTS)
     centers, mults = ([0j], [center_mult]) if include_center else ([], [])
     for radius, m, count in zip(ring_radii, ring_mults, map(int, counts)):
         angles = 2 * np.pi * np.arange(count) / count
@@ -196,9 +199,7 @@ class Region:
     radius: float = math.inf
 
     def __post_init__(self):
-        if not all(abs(v) <= _CENTER_LIMIT for v in (self.h, *self.bounds)):
-            raise DomainError(f"window bounds and h must be finite, at most "
-                              f"{_CENTER_LIMIT:g} in modulus")
+        _check_limit((self.h, *self.bounds), "window bounds and h")
         if self.h <= 0:
             raise ParameterError(f"grid resolution must be positive, got {self.h!r}")
         xmin, xmax, ymin, ymax = self.bounds
@@ -218,8 +219,9 @@ class Region:
         """The scan lattice over the box, as a 2-D array; more than
         MAX_GRID_POINTS points raise ResourceError before any allocation."""
         (xmin, xmax, ymin, ymax), h = self.bounds, self.h
-        _check_size(math.ceil((xmax + h / 2 - xmin) / h)
-                    * math.ceil((ymax + h / 2 - ymin) / h), "scan lattice")
+        n = (xmax + h / 2 - xmin) / h, (ymax + h / 2 - ymin) / h
+        _check_size(math.ceil(n[0]) * math.ceil(n[1]) if max(n) < math.inf
+                    else math.inf, "scan lattice points", MAX_GRID_POINTS)
         gx, gy = np.meshgrid(np.arange(xmin, xmax + h / 2, h),
                              np.arange(ymin, ymax + h / 2, h))
         return gx + 1j * gy
@@ -358,7 +360,7 @@ def _circle_intersections(c1, r1, c2, r2):
     each pair where meets holds.  Concentric circles never meet."""
     delta = c2 - c1
     d = np.hypot(delta.real, delta.imag)  # the scalar abs; np.abs may differ
-    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0
+    with np.errstate(all="ignore"):  # d = 0, or so small that a^2 overflows
         a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
         h_sq = r1 * r1 - a * a
     meets = (d > 0) & (d <= r1 + r2) & (d >= abs(r1 - r2)) & (h_sq >= 0)
@@ -408,7 +410,7 @@ def covering_margin(divisor: Divisor, margins, window: Region) -> list:
     the sequence margins.  A result is (expand, shrink), each a (worst
     point, margin) with margin max_z min_node (|z - center| - rho),
     rho = radius + C (expand) or radius - C over the nodes with radius > C
-    (shrink; None when no radius exceeds C).  margin <= 0 means covered.
+    (shrink; None when no radius exceeds C).  margin < 0 means covered.
     The worst point is taken on the unshifted field, then the shift is
     added, so every C and both modes read one scan per node set.  Only
     each node set's worst point and maximum are kept, so one field lives
@@ -525,20 +527,26 @@ def triple_disc_witness(d1, d2, d3) -> tuple[tuple[int, int], float, float]:
     return (i, j), slack, area_ratio
 
 
-def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray,
-                      edge: float, scans: dict) -> float | None:
-    """Smallest R such that the discs shrunk by C cover pts outside the
-    centered disc of radius R; None when no disc survives the shrink or the
-    uncovered points reach edge.  A point is uncovered where the field of
-    the nodes {radius > C} exceeds -C."""
-    nodes = divisor.radii > C
-    if not nodes.any():
-        return None
-    uncovered = pts[_margin_field(divisor, nodes, pts, scans) > -C]
+def _uncovered_reach(uncovered: np.ndarray, edge: float) -> float | None:
+    """Largest |z| over the points in no open disc, 0.0 if none; None when
+    one lies at or beyond edge (a covering outside a compact fails)."""
     if uncovered.size == 0:
         return 0.0
     r = float(np.abs(uncovered).max())
     return None if r >= edge else r
+
+
+def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray,
+                      edge: float, scans: dict) -> float | None:
+    """Smallest R such that the open discs shrunk by C cover pts outside
+    the centered disc of radius R; None when no disc survives the shrink
+    or the uncovered points reach edge.  A point is uncovered where the
+    field of the nodes {radius > C} is at least -C."""
+    nodes = divisor.radii > C
+    if not nodes.any():
+        return None
+    return _uncovered_reach(
+        pts[_margin_field(divisor, nodes, pts, scans) >= -C], edge)
 
 
 def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:

@@ -15,9 +15,8 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import cython_blas
 
-from .divisor import _CENTER_LIMIT, Divisor
-from .errors import (DomainError, NotInterpolatingError, ParameterError,
-                     ResourceError, VerificationError)
+from .divisor import _CENTER_LIMIT, Divisor, _check_limit, _check_size
+from .errors import NotInterpolatingError, ParameterError, VerificationError
 from .fock import coherent_coefficients, displacement_matrix, \
     kernel_sampling_energy
 
@@ -70,9 +69,7 @@ def _row_blocks(divisor: Divisor, truncation: int):
     # sqrt(alpha) z at weight 1, multiplicities unchanged.  Finite, as
     # |z| <= _CENTER_LIMIT and sqrt(alpha) < 1.4e154.
     centers = math.sqrt(divisor.alpha) * divisor.centers
-    if not np.all(np.abs(centers) <= _CENTER_LIMIT):
-        raise DomainError(f"normalized centers sqrt(alpha) |center| must be "
-                          f"at most {_CENTER_LIMIT:g}")
+    _check_limit(centers, "normalized centers sqrt(alpha) |center|")
     mults = divisor.mults
     first_row = np.cumsum(mults) - mults
     for m in np.unique(mults):
@@ -98,10 +95,8 @@ def restriction_matrix(divisor: Divisor, truncation: int) -> np.ndarray:
     if truncation < 1:
         raise ParameterError(f"truncation must be positive, got {truncation}")
     total = divisor.total_multiplicity
-    if total * truncation > MAX_ENTRIES:
-        raise ResourceError(
-            f"restriction matrix would hold {total * truncation} entries "
-            f"(cap {MAX_ENTRIES})")
+    _check_size(total * truncation, "restriction matrix entries",
+                MAX_ENTRIES)
     rows = np.zeros((total, truncation), dtype=complex)
     for index, _, block in _row_blocks(divisor, truncation):
         rows[index] = block.conj()
@@ -231,9 +226,7 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     first, width = (tall[0], tall[-1]) if tall else (0, 0)
     entries = top * top + width * int(
         np.clip(np.minimum(divisor.mults, width) - first, 0, None).sum())
-    if entries > MAX_ENTRIES:
-        raise ResourceError(f"frame sweep would hold {entries} entries "
-                            f"(cap {MAX_ENTRIES})")
+    _check_size(entries, "frame sweep entries", MAX_ENTRIES)
     rows = np.zeros((total, top), dtype=complex) if total <= top else None
     gram = np.zeros((width, width), dtype=complex, order="F")
     held, least = [], np.ones(len(cuts))  # held: (orders, rows, |rows|^2)
@@ -296,9 +289,7 @@ def symmetric_pair_report(a: float, mult: int, truncation: int
         raise ParameterError(f"symmetric pair needs 0 < a <= "
                              f"{_CENTER_LIMIT:g}, truncation >= 2 mult; "
                              f"got {a}, {mult}, {truncation}")
-    if truncation * mult > MAX_ENTRIES:
-        raise ResourceError(f"symmetric pair would hold {truncation * mult} "
-                            f"entries (cap {MAX_ENTRIES})")
+    _check_size(truncation * mult, "symmetric pair entries", MAX_ENTRIES)
     rows = displacement_matrix(a, truncation, mult).real.T
     return _svd_report(truncation, [rows[:, 0::2], rows[:, 1::2]],
                        _tail((rows ** 2).sum(axis=1)))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import spence, xlogy
 
 from .divisor import (Divisor, Region, _count_scan, _near_pairs,
-                      disjointness_check)
+                      _uncovered_reach, disjointness_check)
 from .errors import (DomainError, ParameterError, PreconditionError,
                      VerificationError)
 from .fock import coherent_coefficients
@@ -163,7 +163,7 @@ def uniqueness_certificate(divisor: Divisor, window: Region, r_list
     counts = _count_scan(inner, divisor.centers, radii)
     h2 = window.h ** 2
     uncovered = inner[counts == 0]
-    if uncovered.size and np.abs(uncovered).max() >= edge:
+    if _uncovered_reach(uncovered, edge) is None:
         raise PreconditionError(
             "uncovered set reaches the window collar: the covering "
             "hypothesis (complement compact) fails")

@@ -237,6 +237,22 @@ class TestExitCodes:
         code, _ = run(tmp_path, "g", cfg, "geometry")
         assert code == EXIT_RESOURCE
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("geometry", GEOMETRY_CFG), ("uniqueness", UNIQUENESS_CFG)],
+        ids=["geometry", "uniqueness"])
+    def test_window_step_past_any_float_count(self, tmp_path, capsys,
+                                              command, cfg):
+        # h = 1e-300 makes a mesh of about 1e602 points; its exact count
+        # went through a float format and exited 1 with "int too large to
+        # convert to float"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "h", cfg.replace("h = 0.2", "h = 1e-300")
+                          .replace("h = 0.3", "h = 1e-300"), command)
+        assert code == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "scan lattice points of" in err and "internal error" not in err
+
     @pytest.mark.parametrize("old,new", [
         ("spacing = 1.5", "spacing = nan"), ("extent = 6", "extent = inf"),
         ("extent = 6", "extent = 6\nalpha = nan"),
@@ -395,6 +411,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert key in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("bom_on", ["config", "divisor"])
+    def test_byte_order_mark(self, tmp_path, bom_on):
+        # a config with a BOM exited 2 with "File contains no section
+        # headers", a divisor CSV with one with "expected header"; the same
+        # file, rewritten with the mark, now gives the same reports
+        csv = tmp_path / "d.csv"
+        csv.write_text(dv.lattice(1.5, 2, 4.0).dumps(), encoding="utf-8")
+        cfg = tmp_path / "f.ini"
+        cfg.write_text(FRAME_CFG.format(path=csv), encoding="utf-8")
+        reports = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            target = cfg if bom_on == "config" else csv
+            target.write_bytes(mark + target.read_bytes().removeprefix(
+                b"\xef\xbb\xbf"))
+            out = tmp_path / f"out{len(mark)}"
+            assert main(["frame", "--config", str(cfg), "--out", str(out)]) \
+                == EXIT_OK
+            reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
     def test_out_not_a_directory(self, tmp_path, capsys, sub):

@@ -1,0 +1,171 @@
+"""The exit-code contract of the CLI: every config exits 0, 2 or 3, never 1.
+
+A derandomized Hypothesis search sets one key of one study's small base
+config to a hostile value and runs ``cli.main`` in process, with
+RuntimeWarning raised as an error and an alarm on each example.  The
+bad-input configs of CI's console-script loop are its explicit examples,
+each with the exit code it must give."""
+
+import contextlib
+import io
+import signal
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fockdiv.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+ALARM_S = 20
+
+FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e150", "1e200",
+          "1e308", "abc"]
+COUNTS = ["0", "1", "64", "1000000", "1.5"]
+TEXTS = ["abc", "", "file", "rings", "rect", "yes", "{dir}"]
+COUNT_KEYS = {"multiplicity", "ring_mults", "center_mult", "truncations",
+              "multiplicities"}
+TEXT_KEYS = {"source", "kind", "file", "include_center"}
+# the body of {dir}/d.csv, and the hostile bodies of its pseudo-key "csv"
+LATTICE_CSV = "re,im,multiplicity\n" + "".join(
+    f"{1.5 * x},{1.5 * y},2\n" for x in range(-4, 5) for y in range(-4, 5))
+BOM = "\ufeff"
+CSV_BODIES = ["re,im,multiplicity\n0,0,2\nnan,0,2\n",
+              "re,im,multiplicity\n0,0,2\n1e200,0,2\n",
+              BOM + LATTICE_CSV, "re,im,multiplicity\n1,1,2\n1,1,2\n",
+              "re,im,multiplicity\n", ""]
+
+LATTICE = {"source": "lattice", "spacing": "1.5", "multiplicity": "2",
+           "extent": "6", "hole_radius": "0", "alpha": "1"}
+RINGS = {"source": "rings", "ring_radii": "1.5,3", "ring_mults": "2,3",
+         "include_center": "yes", "center_mult": "4", "alpha": "2"}
+FILE = {"source": "file", "file": "{dir}/d.csv", "alpha": "1", "csv": ""}
+DISC = {"kind": "disc", "radius": "7", "h": "0.2"}
+RECT = {"kind": "rect", "xmin": "-7", "xmax": "7", "ymin": "-5",
+        "ymax": "5", "h": "0.25"}
+BASES = [
+    ("geometry", {"divisor": LATTICE, "window": DISC,
+                  "geometry": {"margins": "0,0.25"}}),
+    ("geometry", {"divisor": RINGS, "window": RECT,
+                  "geometry": {"margins": "0,0.5"}}),
+    ("frame", {"divisor": LATTICE, "frame": {"truncations": "10,20"}}),
+    ("frame", {"divisor": RINGS, "frame": {"truncations": "12,30"}}),
+    ("frame", {"divisor": FILE, "frame": {"truncations": "20,40"}}),
+    ("geometry", {"divisor": FILE, "window": dict(DISC, radius="6"),
+                  "geometry": {"margins": "0,0.25"}}),
+    ("uniqueness", {"divisor": dict(LATTICE, spacing="1.2", extent="14"),
+                    "window": dict(DISC, radius="14", h="0.3"),
+                    "uniqueness": {"radii": "5,7,9,11"}}),
+    ("uniqueness", {"divisor": FILE, "window": dict(DISC, radius="6"),
+                    "uniqueness": {"radii": "2,3,4,5"}}),
+    ("dichotomy", {"dichotomy": {"multiplicities": "1,4",
+                                 "params": "0.6,1.0"}}),
+]
+
+
+def render(sections: dict) -> str:
+    return "".join(f"[{name}]\n" + "".join(
+        f"{key} = {value}\n" for key, value in options.items() if key != "csv")
+        for name, options in sections.items())
+
+
+@st.composite
+def one_hostile_key(draw):
+    """(study, config text, CSV body, None): one key of a base config set
+    to a hostile value, the last item of a list replaced."""
+    study, base = draw(st.sampled_from(BASES))
+    section, key = draw(st.sampled_from(
+        [(name, key) for name, options in base.items() for key in options]))
+    values = (CSV_BODIES if key == "csv" else TEXTS if key in TEXT_KEYS
+              else COUNTS if key in COUNT_KEYS else FLOATS)
+    value = draw(st.sampled_from(values))
+    old = base[section][key]
+    sections = {name: dict(options) for name, options in base.items()}
+    if key == "csv":
+        return study, render(sections), value, None
+    head, comma, _ = old.rpartition(",")
+    sections[section][key] = head + comma + value
+    return study, render(sections), LATTICE_CSV, None
+
+
+def _shipped(name: str, key: str, value: str) -> str:
+    lines = (ROOT / "configs" / f"{name}.ini").read_text(
+        encoding="utf-8").splitlines()
+    return "".join((f"{key} = {value}" if line.startswith(f"{key} =")
+                    else line) + "\n" for line in lines)
+
+
+# CI's bad-input loop, with the exit code each must give
+CI_CASES = [
+    ("dichotomy", "[dichotomy]\nparams = 0.6\udcff\n", "", 2),  # not UTF-8
+    ("frame", "[divisor]\nspacing = nan\nmultiplicity = 1\nextent = 5\n",
+     "", 2),
+    ("frame", "[divisor]\nsource = rings\nring_radii = 3,4\n"
+              "ring_mults = 2\n", "", 2),
+    ("frame", "[divisor]\nsource = file\nfile = {dir}\n", "", 2),
+    ("frame", "[divisor]\nspacing = 0.005\nmultiplicity = 1\nextent = 5\n",
+     "", 3),
+    ("frame", "[divisor]\nspacing = 1e-300\nmultiplicity = 1\n"
+              "extent = 2.2\n", "", 3),
+    ("frame", "[divisor]\nspacing = 2.2\nmultiplicity = 1\nextent = 1e200\n",
+     "", 3),
+    ("uniqueness", _shipped("uniqueness", "radii", "10,14,18,inf"), "", 2),
+    ("dichotomy", "[dichotomy]\nmultiplicities = 6400\n", "", 3),
+    ("dichotomy", "[dichotomy]\nmultiplicities = 2\nparams = 1e154\n", "", 2),
+    ("frame", "[divisor]\nspacing = 2\nmultiplicity = 1\nextent = 4\n"
+              "alpha = 1e308\n[frame]\ntruncations = 10\n", "", 2),
+    ("geometry", _shipped("geometry", "margins", "0,1e308"), "", 2),
+    ("geometry", "[divisor]\nspacing = 1.5\nmultiplicity = 2\nextent = 6\n"
+                 "[window]\nkind = rect\nxmin = 1e200\n"
+                 "xmax = 1.00000000001e200\nymin = 0\nymax = 1e190\n"
+                 "h = 1e189\n", "", 2),
+    ("geometry", "[divisor]\nspacing = 1e149\nmultiplicity = 1000000\n"
+                 "extent = 1e149\nalpha = 1e-308\n[window]\nradius = 5\n",
+     "", 2),
+    ("geometry", _shipped("geometry", "h", "1e-300"), "", 3),
+    ("uniqueness", _shipped("uniqueness", "h", "1e-300"), "", 3),
+    ("geometry", "[divisor]\nsource = file\nfile = {dir}/d.csv\n"
+                 "[window]\nradius = 6\n", BOM + LATTICE_CSV, 0),
+]
+
+
+@contextlib.contextmanager
+def alarm(seconds: float):
+    """TimeoutError (so exit 1 from cli.main) once seconds have passed."""
+    def ring(signum, frame):
+        raise TimeoutError(f"example ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def with_ci_cases(test):
+    for case in CI_CASES:
+        test = example(case=case)(test)
+    return test
+
+
+@with_ci_cases
+@given(case=one_hostile_key())
+@settings(max_examples=800, deadline=None, derandomize=True)
+def test_exit_code_contract(case):
+    study, text, body, want = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        text = text.replace("{dir}", tmp)
+        (Path(tmp) / "d.csv").write_text(body, encoding="utf-8")
+        config = Path(tmp) / "c.ini"
+        config.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                alarm(ALARM_S):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([study, "--config", str(config), "--out",
+                         str(Path(tmp) / "out")])
+    message = f"{study} exited {code}: {err.getvalue()}\n{text}"
+    assert code in (0, 2, 3) if want is None else code == want, message

@@ -100,6 +100,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ParameterError, match=":2:"):
             Divisor.loads("re,im,multiplicity\n1,2\n")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, rng):
+        # a CSV saved with a BOM failed its header check
+        X = random_divisor(rng)
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + X.dumps().encode("utf-8"))
+        Y = Divisor.from_csv(p)
+        assert np.array_equal(X.centers, Y.centers)
+        assert np.array_equal(X.mults, Y.mults)
+
     def test_empty_body_rejected(self):
         with pytest.raises(ParameterError):
             Divisor.loads("re,im,multiplicity\n")
@@ -255,6 +264,16 @@ class TestRegion:
         with pytest.raises(ResourceError):
             Region.rectangle(0, 1, 0, 1, 1e-4).grid()
 
+    def test_mesh_count_of_any_size(self):
+        # a 1.4e301-point side: the exact count used to go through a float
+        # format and overflow ("int too large to convert to float"); a
+        # side past any float counts as inf
+        with pytest.raises(ResourceError,
+                           match=r"scan lattice points of \d{600,} exceeds"):
+            Region.disc(7.0, 1e-300).grid()
+        with pytest.raises(ResourceError, match="points of inf exceeds"):
+            Region.disc(7.0, 5e-324).grid()
+
     def test_mesh_cap_is_the_arange_size(self, monkeypatch):
         # n x n points with n = ceil((2 r + h / 2) / h): r = 9.75 and h = 1
         # give n = 20, exactly at a cap of 400; r = 10.25 gives n = 21
@@ -274,6 +293,12 @@ class TestOverlap:
 
     def test_constant_two_discs(self):
         X = Divisor(np.array([0j, 1 + 0j]), np.array([1, 1]))
+        assert overlap_constant(X) == 2
+
+    def test_nested_circles_at_a_tiny_distance(self):
+        # centres 1e-300 apart with unequal radii: the crossing formula's
+        # a^2 overflowed, and the geometry study exited 1 on the warning
+        X = Divisor(np.array([0j, 1e-300 + 0j]), np.array([4, 3]), 2.0)
         assert overlap_constant(X) == 2
 
     def test_thin_lens_detected(self):
@@ -803,7 +828,8 @@ class TestTripleDisc:
 
 def dense_uncovered_radius(divisor, C, window, collar):
     """Per-shrink oracle of the thinning's uncovered radius: one dense scan
-    of the discs shrunk by C over the window grid minus the collar."""
+    of the open discs shrunk by C over the window grid minus the collar; a
+    point on a shrunk circle is uncovered."""
     nodes = divisor.radii > C
     pts = window.grid()
     pts = pts[window.contains(pts, collar)]
@@ -811,7 +837,7 @@ def dense_uncovered_radius(divisor, C, window, collar):
         return None
     margins = dense_margin_scan(pts, divisor.centers[nodes],
                                 divisor.radii[nodes] - C)
-    uncovered = pts[margins > 0]
+    uncovered = pts[margins >= 0]
     if uncovered.size == 0:
         return 0.0
     r = float(np.abs(uncovered).max())
@@ -858,7 +884,7 @@ class TestThinning:
         # shrinks from below zero to past the largest radius, one scan
         # dictionary shared by all of them as in thin_subdivisor; the
         # example puts grid points exactly on a shrunk circle, which
-        # counts as covered
+        # counts as uncovered: the discs are open
         X, W, shrinks = case
         pts = W.grid()
         pts = pts[W.contains(pts, collar)]
@@ -925,6 +951,21 @@ class TestThinning:
                     [1e308]):
             with pytest.raises(ParameterError, match="max radius"):
                 thin_subdivisor(X, W, bad)
+
+    def test_thinning_that_breaks_the_covering_raises(self):
+        # at alpha = 1/4 a node of multiplicity 3 has radius 2 sqrt(3) > 2,
+        # so it counts among the discs shrunk by s = 2 that justify its own
+        # removal.  In the lattice of radius-4 discs at spacing 2.2 it
+        # replaces the node at 6.6; the other discs shrunk by 2 leave the
+        # points within 0.2 of it uncovered, and 6.5 lies past the edge
+        # 10.5 - 4 - 0.1
+        X = lattice(2.2, 4, 13.2, alpha=0.25)
+        W = Region.disc(10.5, 0.1)
+        assert len(thin_subdivisor(X, W, [2.0])) == len(X)
+        light = Divisor(X.centers, np.where(
+            np.isclose(X.centers, 6.6), 3, X.mults), 0.25)
+        with pytest.raises(PreconditionError, match="thinning broke"):
+            thin_subdivisor(light, W, [2.0])
 
     def test_rejects_broken_hypothesis(self):
         X = Divisor(np.array([0j]), np.array([4]))

@@ -12,7 +12,7 @@ import fockdiv.potential as pt
 from conftest import (child_peak_rss_mb, radial_glue_errors,
                       ring_log_oracle, weight_v_loop)
 from fockdiv.divisor import (Divisor, Region, disjointness_check, lattice,
-                             radial_rings)
+                             radial_rings, thin_subdivisor)
 from fockdiv.errors import (DomainError, ParameterError, PreconditionError,
                              VerificationError)
 from fockdiv.fock import CoefVec
@@ -228,6 +228,24 @@ class TestUniquenessCertificate:
             uniqueness_certificate(X, Region.disc(6.0, 0.2),
                                    [2.0, 3.0, 4.0, 5.0])
 
+    def test_multiply_covered_set_too_small(self):
+        # one disc covers the whole interior once: no point of depth 2
+        X = Divisor(np.array([0j]), np.array([4]))
+        with pytest.raises(PreconditionError, match="multiply covered"):
+            uniqueness_certificate(X, Region.disc(3.0, 0.25),
+                                   [0.5, 1.0, 1.5, 2.0])
+
+    def test_inconclusive_inside_a_hole(self):
+        # radii inside the hole of radius 4: I(R) stands still while the
+        # benchmark grows, so the excess falls
+        X = lattice(1.2, 2, 14.0, hole_radius=4.0)
+        report = uniqueness_certificate(X, Region.disc(14.0, 0.3),
+                                        [2.0, 3.0, 4.0, 5.0])
+        assert not report.grows
+        assert report.verdict.startswith("inconclusive")
+        assert report.area_K > 0
+        assert report.slope < 0.8 * report.slope_benchmark
+
     def test_dense_lattice_grows(self):
         X = lattice(spacing=1.2, mult=2, extent=18.0)
         W = Region.disc(18.0, 0.3)
@@ -255,6 +273,26 @@ class TestUniquenessCertificate:
         assert pt.integrate is integrate
         assert callable(pt.integrate.quad)
         assert not hasattr(pt, "no_such_name")
+
+
+class TestOneCoveringRule:
+    @pytest.mark.parametrize("alpha,covered", [(1.0, False), (0.999, True)])
+    def test_thinning_and_certificate_agree(self, alpha, covered):
+        # at alpha = 1 the mesh points (odd, odd) lie exactly on the four
+        # circles of radius sqrt(2) around them, so no open disc holds
+        # them, out to the edge; the thinning kept every node while the
+        # certificate refused the window.  At alpha = 0.999 the discs
+        # grow past them and both accept
+        X, W = lattice(2.0, 2, 20.0, alpha=alpha), Region.disc(20.0, 0.5)
+        if not covered:
+            with pytest.raises(PreconditionError):
+                thin_subdivisor(X, W, [0.0])
+            with pytest.raises(PreconditionError):
+                uniqueness_certificate(X, W, [5.0, 8.0, 11.0, 14.0])
+            return
+        assert len(thin_subdivisor(X, W, [0.0])) == len(X) == 441
+        report = uniqueness_certificate(X, W, [5.0, 8.0, 11.0, 14.0])
+        assert report.grows and "grows" in report.verdict
 
 
 class TestWeightV:
