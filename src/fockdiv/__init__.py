@@ -1,23 +1,4 @@
 """Desk-scale numerical criteria for multiple (Hermite-type) sampling,
 interpolation, and uniqueness in Gaussian-weighted entire-function spaces."""
 
-from .divisor import Divisor, Region, lattice, radial_rings
-from .fock import CoefVec
-from .frame import FrameReport, frame_bounds, interpolation_constant
-from .specfun import omega, phi, sigma
-
-__all__ = [
-    "CoefVec",
-    "Divisor",
-    "FrameReport",
-    "Region",
-    "frame_bounds",
-    "interpolation_constant",
-    "lattice",
-    "omega",
-    "phi",
-    "radial_rings",
-    "sigma",
-]
-
 __version__ = "0.1.0"

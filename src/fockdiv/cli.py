@@ -84,8 +84,8 @@ def load_window(cfg: configparser.ConfigParser) -> dv.Region:
     if kind == "disc":
         return dv.Region.disc(_read(cfg, "window.radius"), h)
     if kind == "rect":
-        return dv.Region.rectangle(*(_read(cfg, f"window.{bound}") for bound
-                                     in ("xmin", "xmax", "ymin", "ymax")), h)
+        return dv.Region(tuple(_read(cfg, f"window.{bound}") for bound
+                               in ("xmin", "xmax", "ymin", "ymax")), h)
     raise ParameterError(f"unknown window.kind {kind!r} (disc or rect)")
 
 

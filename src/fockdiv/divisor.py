@@ -40,10 +40,15 @@ def _check_limit(values, what: str) -> None:
 
 
 def _check_size(count, what: str, cap: int) -> None:
-    """ResourceError, before any allocation, when count passes cap; an int
-    count is shown exactly, whatever its size."""
+    """ResourceError, before any allocation, when count passes cap; the
+    exact integer count is shown below 10^18, else its power of ten."""
     if count > cap:
-        shown = f"{count:.0f}" if isinstance(count, float) else count
+        shown = count if count == math.inf else int(count)
+        if shown != math.inf and shown >= 10 ** 18:
+            digits = (shown.bit_length() - 1) * 30102 // 100000  # <= log10
+            while 10 ** (digits + 1) <= shown:
+                digits += 1
+            shown = f"at least 10^{digits}"
         raise ResourceError(f"{what} of {shown} exceeds the cap of {cap}")
 
 
@@ -192,7 +197,7 @@ def radial_rings(ring_radii, ring_mults, counts=None, alpha: float = 1.0,
 class Region:
     """Finite window: the points of the box bounds = (xmin, xmax, ymin,
     ymax) within radius of the origin, scanned at resolution h.  A disc is
-    the box (-r, r, -r, r) cut to radius r; a rectangle has radius inf."""
+    the box (-r, r, -r, r) cut to radius r; a rectangle is the box alone."""
 
     bounds: tuple
     h: float
@@ -210,10 +215,6 @@ class Region:
     @classmethod
     def disc(cls, radius: float, h: float) -> "Region":
         return cls((-radius, radius, -radius, radius), h, radius)
-
-    @classmethod
-    def rectangle(cls, xmin, xmax, ymin, ymax, h) -> "Region":
-        return cls((xmin, xmax, ymin, ymax), h)
 
     def mesh(self) -> np.ndarray:
         """The scan lattice over the box, as a 2-D array; more than
@@ -395,14 +396,11 @@ def _margins(radii: np.ndarray, margins) -> list:
     return margins
 
 
-def _margin_field(divisor, nodes, pts, scans) -> np.ndarray:
-    """min over the nodes of |z - center| - radius at pts, one scan per node
-    set kept in scans.  Shifting the radii by C shifts it by -C."""
-    centers, radii = divisor.centers[nodes], divisor.radii[nodes]
-    key = centers.tobytes() + radii.tobytes()
-    if key not in scans:
-        scans[key] = _margin_scan(pts, centers, radii)
-    return scans[key]
+def _margin_field(divisor, nodes, pts) -> np.ndarray | None:
+    """min over the nodes of |z - center| - radius at pts, from one scan;
+    None when there are no nodes.  Shifting the radii by C shifts it by -C."""
+    if nodes.any():
+        return _margin_scan(pts, divisor.centers[nodes], divisor.radii[nodes])
 
 
 def covering_margin(divisor: Divisor, margins, window: Region) -> list:
@@ -423,7 +421,7 @@ def covering_margin(divisor: Divisor, margins, window: Region) -> list:
             return None
         key = nodes.tobytes()
         if key not in worst:
-            m = _margin_field(divisor, nodes, pts, {})
+            m = _margin_field(divisor, nodes, pts)
             k = m.argmax()
             worst[key] = complex(pts[k]), float(m[k])
         z, top = worst[key]
@@ -537,16 +535,15 @@ def _uncovered_reach(uncovered: np.ndarray, edge: float) -> float | None:
 
 
 def _uncovered_radius(divisor: Divisor, C: float, pts: np.ndarray,
-                      edge: float, scans: dict) -> float | None:
+                      field: np.ndarray | None, edge: float) -> float | None:
     """Smallest R such that the open discs shrunk by C cover pts outside
     the centered disc of radius R; None when no disc survives the shrink
-    or the uncovered points reach edge.  A point is uncovered where the
-    field of the nodes {radius > C} is at least -C."""
-    nodes = divisor.radii > C
-    if not nodes.any():
+    or the uncovered points reach edge.  field is the margin field at pts
+    of the nodes {radius > c0}, c0 <= C: a point is uncovered where it is
+    >= -C, which no node of radius r <= C decides (|z - c| - r >= -C)."""
+    if not (divisor.radii > C).any():
         return None
-    return _uncovered_reach(
-        pts[_margin_field(divisor, nodes, pts, scans) >= -C], edge)
+    return _uncovered_reach(pts[field >= -C], edge)
 
 
 def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
@@ -554,20 +551,23 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
     low multiplicity {|center| > R_s + s, (s-1)^2 <= mult < s^2}, where R_s
     is the radius outside of which the discs shrunk by s still cover the
     window.  The result keeps the covering property for every shrink in
-    c_list while its far nodes have growing multiplicity."""
+    c_list while its far nodes have growing multiplicity.  Every shrink
+    tested is at least c0 = min(c_list[0], 1), so all read one margin field,
+    of the nodes {radius > c0}, rescanned only if thinning removed one."""
     c_list = sorted(_margins(divisor.radii, c_list))
     if not c_list or any(c2 <= c1 for c1, c2 in zip(c_list, c_list[1:])):
         raise ParameterError("c_list must be strictly increasing and nonempty")
     pts, edge = window.interior(float(divisor.radii.max(initial=0.0)))
-    scans = {}
+    c0 = min(c_list[0], 1.0)
+    field = _margin_field(divisor, divisor.radii > c0, pts)
     for C in c_list:
-        if _uncovered_radius(divisor, C, pts, edge, scans) is None:
+        if _uncovered_radius(divisor, C, pts, field, edge) is None:
             raise PreconditionError(
                 f"shrink-covering hypothesis fails for C={C}")
     keep = np.ones(len(divisor), dtype=bool)
     s_max = int(math.ceil(math.sqrt(float(divisor.mults.max()))))
     for s in range(1, s_max + 1):
-        r_s = _uncovered_radius(divisor, float(s), pts, edge, scans)
+        r_s = _uncovered_radius(divisor, float(s), pts, field, edge)
         if r_s is None:
             continue  # no eligible discs at this shrink inside the window
         mask = ((np.abs(divisor.centers) > r_s + s)
@@ -575,8 +575,10 @@ def thin_subdivisor(divisor: Divisor, window: Region, c_list) -> Divisor:
                 & (divisor.mults < s * s))
         keep &= ~mask
     thinned = divisor.subset(keep)
+    if (divisor.radii[~keep] > c0).any():
+        field = _margin_field(thinned, thinned.radii > c0, pts)
     for C in c_list:
-        if _uncovered_radius(thinned, C, pts, edge, scans) is None:
+        if _uncovered_radius(thinned, C, pts, field, edge) is None:
             raise PreconditionError(
                 f"thinning broke the covering for C={C} (resolution too "
                 "coarse or window too small)")

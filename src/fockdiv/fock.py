@@ -91,11 +91,13 @@ def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
     entries, vectorized over d and over the centers, so nothing overflows
     or cancels catastrophically.  Above the diagonal
     D[k, j] = (-1)^{j-k} D[j, k], and the phase of z enters as
-    e^{-i(k-j) arg z}.  Row truncation is exact: row k of column j+1 only
-    references rows < k of columns j and j-1, so the entries do not
-    depend on n."""
+    e^{-i(k-j) arg z}; a z >= 0 of real type has every phase 1 and gets D
+    real, without the complex products.  Row truncation is exact: row k
+    of column j+1 only references rows < k of columns j and j-1, so the
+    entries do not depend on n."""
     if n < 1:
         raise ParameterError(f"matrix size must be positive, got {n}")
+    on_axis = np.isrealobj(z) and bool(np.all(np.asarray(z) >= 0))
     z = np.asarray(z, dtype=complex)
     ncols = n if ncols is None else int(ncols)
     if not 1 <= ncols <= n:
@@ -103,7 +105,7 @@ def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
     modulus, phase = _modulus(z, n), _phase(z, n)
     if ncols == 1:  # in place: a view of rows padded to 32 entries
         phase *= modulus
-        return phase[..., None]
+        return phase[..., None].real if on_axis else phase[..., None]
     x = np.abs(z)[..., None] ** 2
     real = np.zeros((*z.shape, n, ncols))
     # f[d] = D[j + d, j](r) and step[d] = f[d] - D[j - 1 + d, j - 1](r).
@@ -124,6 +126,8 @@ def displacement_matrix(z, n: int, ncols: int | None = None) -> np.ndarray:
         real[..., j + 1:, j + 1] = f
     lo, hi = np.triu_indices(ncols, 1)
     real[..., lo, hi] = (1 - 2 * ((hi - lo) % 2)) * real[..., hi, lo]
+    if on_axis:
+        return real
     return real * phase[..., :, None] * phase[..., None, :ncols].conj()
 
 

@@ -15,13 +15,17 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import cython_blas
 
-from .divisor import _CENTER_LIMIT, Divisor, _check_limit, _check_size
+from .divisor import (_CENTER_LIMIT, Divisor, _check_limit, _check_size,
+                      _margin_field)
 from .errors import NotInterpolatingError, ParameterError, VerificationError
 from .fock import coherent_coefficients, displacement_matrix, \
     kernel_sampling_energy
 
 # Caps and thresholds (see module design notes in README).
 MAX_ENTRIES = 80_000_000
+# Peak bytes of symmetric_pair_report per entry of its real N x m table
+# (24.4-25.1 at m = 1,000-2,000); its cap is MAX_ENTRIES complex entries.
+PAIR_BYTES = 26
 RANK_RTOL = 1e-12
 # Rows per block: bounds the temporaries of the row build and of the Gram
 # and squared-norm sums, whatever the node count.
@@ -289,8 +293,9 @@ def symmetric_pair_report(a: float, mult: int, truncation: int
         raise ParameterError(f"symmetric pair needs 0 < a <= "
                              f"{_CENTER_LIMIT:g}, truncation >= 2 mult; "
                              f"got {a}, {mult}, {truncation}")
-    _check_size(truncation * mult, "symmetric pair entries", MAX_ENTRIES)
-    rows = displacement_matrix(a, truncation, mult).real.T
+    _check_size(PAIR_BYTES * truncation * mult, "symmetric pair bytes",
+                16 * MAX_ENTRIES)
+    rows = displacement_matrix(a, truncation, mult).T  # real: a > 0
     return _svd_report(truncation, [rows[:, 0::2], rows[:, 1::2]],
                        _tail((rows ** 2).sum(axis=1)))
 
@@ -315,17 +320,17 @@ def interpolation_constant(divisor: Divisor, truncation: int) -> float:
 def sampling_defect_path(divisor: Divisor, path) -> list[tuple[float, float]]:
     """(distance to the union of node discs, kernel sampling energy) at each
     path point; exhibits the collapse of the lower frame bound when the
-    expanded discs fail to cover."""
-    out = []
-    radii = divisor.radii
-    for z in path:
-        z = complex(z)
-        if len(divisor) == 0:
-            out.append((math.inf, 0.0))
-            continue
-        dist = float(np.max([np.min(np.abs(z - divisor.centers) - radii), 0.0]))
-        out.append((dist, kernel_sampling_energy(z, divisor)))
-    return out
+    expanded discs fail to cover.  The distance is the margin field of
+    every node, clipped at 0; a path point beyond _CENTER_LIMIT raises
+    DomainError before any scan."""
+    path = np.array([complex(z) for z in path], dtype=complex)
+    _check_limit(path, "path points")
+    if len(divisor) == 0:
+        return [(math.inf, 0.0)] * path.size
+    dist = np.maximum(_margin_field(divisor, np.ones(len(divisor), bool),
+                                    path), 0.0)
+    return [(float(d), kernel_sampling_energy(complex(z), divisor))
+            for z, d in zip(path, dist)]
 
 
 def interpolation_witness(divisor: Divisor, w: complex, truncation: int

@@ -252,6 +252,8 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         err = capsys.readouterr().err
         assert "scan lattice points of" in err and "internal error" not in err
+        # a power of ten, where the count was printed in all its 603 digits
+        assert "at least 10^602" in err and len(err) < 200
 
     @pytest.mark.parametrize("old,new", [
         ("spacing = 1.5", "spacing = nan"), ("extent = 6", "extent = inf"),
@@ -292,8 +294,9 @@ class TestExitCodes:
         assert "R must be positive" in capsys.readouterr().err
 
     def test_dichotomy_over_entry_cap(self, tmp_path, monkeypatch):
-        # m = 6400 at N = 2m: 81,920,000 entries, just above MAX_ENTRIES;
-        # refused before any displacement row or large array is built
+        # m = 6400 at N = 2m: 81,920,000 entries, 2.1 GB at PAIR_BYTES
+        # each, past the cap of 1.28 GB; refused before any displacement
+        # row or large array is built
         def unreachable(*args):
             raise AssertionError("rows built past the entry cap")
         zeros = np.zeros

@@ -1,10 +1,11 @@
 """The exit-code contract of the CLI: every config exits 0, 2 or 3, never 1.
 
-A derandomized Hypothesis search sets one key of one study's small base
-config to a hostile value and runs ``cli.main`` in process, with
-RuntimeWarning raised as an error and an alarm on each example.  The
-bad-input configs of CI's console-script loop are its explicit examples,
-each with the exit code it must give."""
+A derandomized Hypothesis search sets one key, or two at once, of one
+study's small base config to a hostile value, or gives a rings base lists
+of 200 items, and runs ``cli.main`` in process, with RuntimeWarning raised
+as an error and an alarm on each example.  The bad-input configs of CI's
+console-script loop are the explicit examples of the one-key search, each
+with the exit code it must give."""
 
 import contextlib
 import io
@@ -71,6 +72,17 @@ def render(sections: dict) -> str:
         for name, options in sections.items())
 
 
+def hostile_values(key: str) -> list[str]:
+    return (CSV_BODIES if key == "csv" else TEXTS if key in TEXT_KEYS
+            else COUNTS if key in COUNT_KEYS else FLOATS)
+
+
+def set_hostile(sections: dict, section: str, key: str, value: str) -> None:
+    """The last item of the key's list replaced by value."""
+    head, comma, _ = sections[section][key].rpartition(",")
+    sections[section][key] = head + comma + value
+
+
 @st.composite
 def one_hostile_key(draw):
     """(study, config text, CSV body, None): one key of a base config set
@@ -78,15 +90,62 @@ def one_hostile_key(draw):
     study, base = draw(st.sampled_from(BASES))
     section, key = draw(st.sampled_from(
         [(name, key) for name, options in base.items() for key in options]))
-    values = (CSV_BODIES if key == "csv" else TEXTS if key in TEXT_KEYS
-              else COUNTS if key in COUNT_KEYS else FLOATS)
-    value = draw(st.sampled_from(values))
-    old = base[section][key]
+    value = draw(st.sampled_from(hostile_values(key)))
     sections = {name: dict(options) for name, options in base.items()}
     if key == "csv":
         return study, render(sections), value, None
-    head, comma, _ = old.rpartition(",")
-    sections[section][key] = head + comma + value
+    set_hostile(sections, section, key, value)
+    return study, render(sections), LATTICE_CSV, None
+
+
+@st.composite
+def two_hostile_keys(draw):
+    """(study, config text, CSV body, None): two keys of a base config set
+    to hostile values at once."""
+    study, base = draw(st.sampled_from(BASES))
+    keys = draw(st.lists(st.sampled_from(
+        [(name, key) for name, options in base.items() for key in options]),
+        min_size=2, max_size=2, unique=True))
+    sections = {name: dict(options) for name, options in base.items()}
+    body = LATTICE_CSV
+    for section, key in keys:
+        value = draw(st.sampled_from(hostile_values(key)))
+        if key == "csv":
+            body = value
+        else:
+            set_hostile(sections, section, key, value)
+    return study, render(sections), body, None
+
+
+# 200 rings as (radii, multiplicities), one node each: all within 0.2 of
+# the origin, or from radius 1.5 to 51.25 with discs of radius 707.  Light
+# rings out to radius 51 would give 16,000 nodes, and one heavy ring among
+# them makes the node-pair search of overlap_constant and
+# disjointness_check list every pair (ROADMAP, Known defects)
+RING_LISTS = [([f"{0.001 * i:g}" for i in range(1, 201)], ["2", "3"] * 100),
+              ([f"{1.5 + 0.25 * i:g}" for i in range(200)],
+               ["1000000"] * 200)]
+
+
+@st.composite
+def many_rings(draw):
+    """(study, config text, CSV body, None): a rings base given 200 radii
+    and multiplicities, one item of either list hostile, or the
+    multiplicities one short."""
+    study, base = draw(st.sampled_from(
+        [(study, base) for study, base in BASES
+         if base.get("divisor") is RINGS]))
+    radii, mults = map(list, draw(st.sampled_from(RING_LISTS)))
+    change = draw(st.sampled_from(["none", "radius", "mult", "short"]))
+    if change == "short":
+        mults.pop()
+    elif change != "none":
+        items = radii if change == "radius" else mults
+        items[draw(st.integers(0, 199))] = draw(st.sampled_from(
+            FLOATS if change == "radius" else COUNTS))
+    sections = {name: dict(options) for name, options in base.items()}
+    sections["divisor"].update(ring_radii=",".join(radii),
+                               ring_mults=",".join(mults))
     return study, render(sections), LATTICE_CSV, None
 
 
@@ -155,6 +214,24 @@ def with_ci_cases(test):
 @given(case=one_hostile_key())
 @settings(max_examples=800, deadline=None, derandomize=True)
 def test_exit_code_contract(case):
+    run_case(case)
+
+
+@given(case=two_hostile_keys())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_exit_code_contract_two_keys(case):
+    run_case(case)
+
+
+@given(case=many_rings())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_exit_code_contract_many_rings(case):
+    run_case(case)
+
+
+def run_case(case):
+    """Run cli.main on the case's config in a scratch directory, with
+    RuntimeWarning an error and the alarm set; check its exit code."""
     study, text, body, want = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

@@ -209,7 +209,7 @@ class TestRegion:
         assert pts.size * 0.25 ** 2 == pytest.approx(math.pi * 4, rel=0.05)
 
     def test_rectangle_contains(self):
-        W = Region.rectangle(-1, 1, 0, 2, 0.5)
+        W = Region((-1, 1, 0, 2), 0.5)
         assert W.contains(np.array([0.5 + 1j]))[0]
         assert not W.contains(np.array([0.5 - 1j]))[0]
 
@@ -217,7 +217,7 @@ class TestRegion:
         with pytest.raises(ParameterError):
             Region.disc(-1.0, 0.1)
         with pytest.raises(ParameterError):
-            Region.rectangle(1, -1, 0, 1, 0.1)
+            Region((1, -1, 0, 1), 0.1)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_window(self, bad):
@@ -229,15 +229,15 @@ class TestRegion:
             rect = [-1.0, 1.0, -1.0, 1.0]
             rect[k] = bad
             with pytest.raises(DomainError):
-                Region.rectangle(*rect, 0.1)
+                Region(tuple(rect), 0.1)
 
     def test_rejects_far_window(self):
         # beyond _CENTER_LIMIT the k-nearest fallback of the margin scan
         # squared distances to inf and indexed past the centres
         with pytest.raises(DomainError):
-            Region.rectangle(1e200, 1.00000000001e200, 0, 1e190, 1e189)
+            Region((1e200, 1.00000000001e200, 0, 1e190), 1e189)
         with pytest.raises(DomainError):
-            Region.rectangle(0, 1, -1.0000001e150, 0, 0.5)
+            Region((0, 1, -1.0000001e150, 0), 0.5)
         with pytest.raises(DomainError):
             Region.disc(1.0, 2e150)
         assert Region.disc(1e150, 1e150).grid().size == 5
@@ -262,17 +262,32 @@ class TestRegion:
         with pytest.raises(ResourceError):
             Region.disc(10.0, 1e-7).mesh()
         with pytest.raises(ResourceError):
-            Region.rectangle(0, 1, 0, 1, 1e-4).grid()
+            Region((0, 1, 0, 1), 1e-4).grid()
 
     def test_mesh_count_of_any_size(self):
         # a 1.4e301-point side: the exact count used to go through a float
-        # format and overflow ("int too large to convert to float"); a
-        # side past any float counts as inf
-        with pytest.raises(ResourceError,
-                           match=r"scan lattice points of \d{600,} exceeds"):
+        # format and overflow ("int too large to convert to float"), then
+        # was printed in all its 603 digits; a side past any float counts
+        # as inf
+        with pytest.raises(ResourceError, match=r"^scan lattice points of "
+                           r"at least 10\^602 exceeds the cap of 4000000$"):
             Region.disc(7.0, 1e-300).grid()
         with pytest.raises(ResourceError, match="points of inf exceeds"):
             Region.disc(7.0, 5e-324).grid()
+
+    @pytest.mark.parametrize("count,shown", [
+        (10 ** 18 - 1, "999999999999999999"), (10 ** 18, "at least 10^18"),
+        (2 * 10 ** 18, "at least 10^18"), (10 ** 19 - 1, "at least 10^18"),
+        (1e300, "at least 10^300"), (2.0 ** 1023, "at least 10^307"),
+        (10 ** 5000, "at least 10^5000"), (math.inf, "inf")],
+        ids=["below", "at", "twice", "below-next", "float", "float-max",
+             "huge", "inf"])
+    def test_size_shown_as_a_power_of_ten(self, count, shown):
+        # read off the integer itself, with no float: 2^1023 is 8.99e307,
+        # and 10^5000 is past any float and past int-to-str's digit limit
+        with pytest.raises(ResourceError) as err:
+            dv._check_size(count, "points", 4)
+        assert str(err.value) == f"points of {shown} exceeds the cap of 4"
 
     def test_mesh_cap_is_the_arange_size(self, monkeypatch):
         # n x n points with n = ceil((2 r + h / 2) / h): r = 9.75 and h = 1
@@ -359,7 +374,7 @@ def scan_cases(draw):
     else:
         x0, y0 = (draw(st.sampled_from([-4.0, -3.5, -2.7]))
                   for _ in range(2))
-        W = Region.rectangle(x0, x0 + 7.0, y0, y0 + 6.5, h)
+        W = Region((x0, x0 + 7.0, y0, y0 + 6.5), h)
     part = draw(st.sampled_from(["grid", "mesh", "collar", "jitter",
                                  "scattered"]))
     points = W.mesh().ravel() if part == "mesh" else W.grid()
@@ -476,8 +491,8 @@ class TestNeighbourScans:
     def test_window_far_from_origin(self):
         # np.arange builds these grids with a rounded step, whose drift puts
         # points up to 7e-6 and 1.2e-5 of h off their mesh nodes
-        for W in (Region.rectangle(1e7, 1e7 + 3, 0, 3, 0.01),
-                  Region.rectangle(1e8, 1e8 + 10, -5, 5, 0.05)):
+        for W in (Region((1e7, 1e7 + 3, 0, 3), 0.01),
+                  Region((1e8, 1e8 + 10, -5, 5), 0.05)):
             points, lo = W.grid(), W.bounds[0]
             X = Divisor(lo + np.array([0.9 + 0.5j, 2 + 1j, 1.5 - 0.1j]),
                         np.array([1, 2, 1]))
@@ -577,7 +592,7 @@ class TestNeighbourScans:
         X = Divisor(centers, np.ones(centers.size, int) if mults is None
                     else np.array(mults))
         for W in (Region.disc(5.0, 0.25),
-                  Region.rectangle(-2.6, 3.1, -1.9, 2.3, 0.3)):
+                  Region((-2.6, 3.1, -1.9, 2.3), 0.3)):
             assert overlap_constant(X) == dense_overlap_constant(X, W)
 
     def test_overlap_constant_lattice(self):
@@ -641,7 +656,7 @@ def margin_cases(draw):
          float(r.max()) - 1e-3, float(r.max()), float(r.max()) + 0.5]),
         min_size=1, max_size=6))
     W = draw(st.sampled_from([Region.disc(5.0, 0.4),
-                              Region.rectangle(-4.0, 3.0, -2.0, 5.0, 0.3)]))
+                              Region((-4.0, 3.0, -2.0, 5.0), 0.3)]))
     return X, W, margins
 
 
@@ -849,6 +864,26 @@ def dense_uncovered_radius(divisor, C, window, collar):
     return r
 
 
+def dense_thinning(X, window, c_list):
+    """thin_subdivisor with one dense scan per shrink and divisor."""
+    collar = float(X.radii.max())
+    for C in c_list:
+        if dense_uncovered_radius(X, C, window, collar) is None:
+            raise PreconditionError(
+                f"shrink-covering hypothesis fails for C={C}")
+    keep = np.ones(len(X), dtype=bool)
+    for s in range(1, int(math.ceil(math.sqrt(X.mults.max()))) + 1):
+        r_s = dense_uncovered_radius(X, float(s), window, collar)
+        if r_s is not None:
+            keep &= ~((np.abs(X.centers) > r_s + s)
+                      & (X.mults >= (s - 1) ** 2) & (X.mults < s * s))
+    thinned = X.subset(keep)
+    for C in c_list:
+        if dense_uncovered_radius(thinned, C, window, collar) is None:
+            raise PreconditionError(f"thinning broke the covering for C={C}")
+    return thinned
+
+
 class TestThinning:
     def _big_family(self):
         return radial_rings([4.0, 7.0, 10.0, 13.0, 16.0, 19.0], [25] * 6,
@@ -856,15 +891,8 @@ class TestThinning:
                                     for r in [4, 7, 10, 13, 16, 19]],
                             include_center=True, center_mult=36)
 
-    def test_one_margin_scan_per_node_set(self, monkeypatch):
-        # the scripts/thinning_demo.py divisor: every C and the steps s <= 4
-        # shrink the same 220 heavy nodes {r > C}, s = 5 the centre alone,
-        # and the thinned divisor has the same two sets
-        base = self._big_family()
-        planted = np.array([14.3 * np.exp(0.7j), 17.1 * np.exp(2.1j),
-                            15.6 * np.exp(4.4j)])
-        X = Divisor(np.concatenate([base.centers, planted]),
-                    np.concatenate([base.mults, [1, 1, 1]]))
+    @staticmethod
+    def _count_scans(monkeypatch) -> list:
         scanned = []
         scan = dv._margin_scan
 
@@ -872,34 +900,85 @@ class TestThinning:
             scanned.append(centers.size)
             return scan(points, centers, radii)
         monkeypatch.setattr(dv, "_margin_scan", counted)
+        return scanned
+
+    def test_one_margin_scan_per_node_set(self, monkeypatch):
+        # the scripts/thinning_demo.py divisor: every C and every step
+        # read the field of the 220 heavy nodes {r > c0}, c0 = 1, and
+        # the thinning removes only the three planted nodes of radius 1,
+        # so the thinned divisor reads it too: one scan in all
+        base = self._big_family()
+        planted = np.array([14.3 * np.exp(0.7j), 17.1 * np.exp(2.1j),
+                            15.6 * np.exp(4.4j)])
+        X = Divisor(np.concatenate([base.centers, planted]),
+                    np.concatenate([base.mults, [1, 1, 1]]))
+        scanned = self._count_scans(monkeypatch)
         thin = thin_subdivisor(X, Region.disc(23.0, 0.1), [1.0, 2.0, 3.0])
         assert len(thin) == len(base)
-        assert sorted(scanned) == [1, len(base)]
+        assert scanned == [len(base)]
+
+    def test_multi_class_lattice_scans_once(self, monkeypatch):
+        # multiplicities cycling 1, 4, 9, 16: four node sets {r > C} over
+        # the shrinks and steps, one field of {r > 0.5}, every node
+        L = lattice(1.5, 1, 30.0)
+        X = Divisor(L.centers, np.resize([1, 4, 9, 16], len(L)))
+        scanned = self._count_scans(monkeypatch)
+        thin = thin_subdivisor(X, Region.disc(28.0, 0.08), [0.5, 1.0, 1.5])
+        assert len(thin) == len(X)
+        assert scanned == [len(X)]
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_dense_per_shrink_thinning(self, seed, monkeypatch):
+        # jittered lattices of mixed multiplicity, shrinks from below zero:
+        # the thinning equals the one that scans every shrink densely, and
+        # scans twice only when it removed a node of radius above c0
+        rng = np.random.default_rng(seed)
+        spacing = rng.uniform(0.8, 1.6)
+        L = lattice(spacing, 1, 6 * spacing)
+        jitter = np.array([1, 1j]) @ rng.uniform(-0.2, 0.2, (2, len(L)))
+        X = Divisor(L.centers + spacing * jitter,
+                    rng.choice([1, 2, 4, 9, 16, 25], len(L),
+                               p=[.3, .2, .2, .15, .1, .05]),
+                    rng.uniform(0.5, 2.0))
+        c_list = sorted({float(c) for c in
+                         np.round(rng.uniform(-0.5, 3.0, 3), 2)})
+        W = Region.disc(6 * spacing + rng.uniform(-1.0, 3.0), 0.25)
+        scanned = self._count_scans(monkeypatch)
+        try:
+            thin = thin_subdivisor(X, W, c_list)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as want:
+                dense_thinning(X, W, c_list)
+            assert str(exc).startswith(str(want.value))
+            return
+        want = dense_thinning(X, W, c_list)
+        assert np.array_equal(thin.centers, want.centers)
+        c0 = min(c_list[0], 1.0)
+        lost = set(map(complex, X.centers[X.radii > c0])) \
+            - set(map(complex, thin.centers))
+        assert len(scanned) == 1 + bool(lost)
 
     @given(case=margin_cases(), collar=st.sampled_from([0.0, 0.6, 2.0]))
     @example(case=(Divisor(np.array([0j]), np.array([4])),
                    Region.disc(1.0, 0.5), [1.0]), collar=0.0)
     @settings(max_examples=60, deadline=None)
     def test_uncovered_radius_matches_dense_oracle(self, case, collar):
-        # shrinks from below zero to past the largest radius, one scan
-        # dictionary shared by all of them as in thin_subdivisor; the
-        # example puts grid points exactly on a shrunk circle, which
+        # shrinks from below zero to past the largest radius, all read off
+        # one field, of the nodes {r > min(shrinks)}, as in thin_subdivisor;
+        # the example puts grid points exactly on a shrunk circle, which
         # counts as uncovered: the discs are open
         X, W, shrinks = case
         pts = W.grid()
         pts = pts[W.contains(pts, collar)]
         xmin, xmax, ymin, ymax = W.bounds
         edge = min(-xmin, xmax, -ymin, ymax) - collar - W.h
-        scans = {}
+        field = dv._margin_field(X, X.radii > min(shrinks), pts)
         for C in shrinks:
-            assert dv._uncovered_radius(X, C, pts, edge, scans) \
+            assert dv._uncovered_radius(X, C, pts, field, edge) \
                 == dense_uncovered_radius(X, C, W, collar)
-        node_sets = {(X.radii > C).tobytes() for C in shrinks
-                     if (X.radii > C).any()}
-        assert len(scans) == len(node_sets)
 
     @pytest.mark.parametrize("window", [
-        Region.disc(14.0, 0.2), Region.rectangle(-14, 14, -14, 14, 0.2)],
+        Region.disc(14.0, 0.2), Region((-14, 14, -14, 14), 0.2)],
         ids=["disc", "rect"])
     def test_uncovered_set_reaching_the_collar_raises(self, window):
         # the 81 nodes cover only |Re|, |Im| <= 6 + sqrt(2): on a disc or

@@ -170,6 +170,17 @@ class TestDisplacementMatrix:
         d = displacement_matrix(z, 50, ncols)
         assert np.array_equal(d[..., 0], coherent_coefficients(z, 50))
 
+    @pytest.mark.parametrize("z", [0.0, 2.5, 9, np.array([0.0, 0.3, 7.5])],
+                             ids=["origin", "float", "int", "array"])
+    @pytest.mark.parametrize("ncols", [1, 6])
+    def test_real_center_gives_the_real_matrix(self, z, ncols):
+        # every phase is 1 at a real z >= 0: the real matrix is the real
+        # part of the complex build bit for bit, whose imaginary part is 0
+        d = displacement_matrix(z, 40, ncols)
+        full = displacement_matrix(np.asarray(z, dtype=complex), 40, ncols)
+        assert d.dtype == float
+        assert np.array_equal(d, full.real) and not full.imag.any()
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ParameterError):
             displacement_matrix(1.0, 0)

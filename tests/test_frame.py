@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+import fockdiv.divisor as dv
 import fockdiv.frame as fr
-from conftest import child_peak_rss_mb, frame_oracle, random_divisor
+from conftest import (child_peak_rise_mb, child_peak_rss_mb, frame_oracle,
+                      random_divisor)
 from fockdiv.divisor import Divisor, lattice, overlap_constant, radial_rings
 from fockdiv.errors import (DomainError, NotInterpolatingError,
                             ParameterError, ResourceError, VerificationError)
@@ -547,6 +549,37 @@ class TestSymmetricPair:
         with pytest.raises(ParameterError):
             symmetric_pair_report(a, mult, n)
 
+    def test_cap_counts_the_bytes_of_the_build(self, monkeypatch):
+        # PAIR_BYTES per entry of the N x m table against the 16 bytes of
+        # MAX_ENTRIES complex entries: at N = 2m, m = 4,961 is the last
+        # multiplicity admitted and 4,962 the first refused, before any
+        # row is built
+        built = []
+
+        def unbuilt(a, n, ncols):
+            built.append(ncols)
+            raise RuntimeError("past the cap")
+        monkeypatch.setattr(fr, "displacement_matrix", unbuilt)
+        with pytest.raises(ResourceError, match="symmetric pair bytes"):
+            symmetric_pair_report(1.0, 4962, 2 * 4962)
+        assert built == []
+        with pytest.raises(RuntimeError, match="past the cap"):
+            symmetric_pair_report(1.0, 4961, 2 * 4961)
+        assert built == [4961]
+        assert fr.PAIR_BYTES * 2 * 4961 ** 2 <= 16 * fr.MAX_ENTRIES \
+            < fr.PAIR_BYTES * 2 * 4962 ** 2
+
+    def test_build_holds_what_the_cap_counts(self):
+        # the real table and the SVDs of its parity blocks, at most
+        # PAIR_BYTES per entry and a few MB of BLAS and LAPACK workspace;
+        # the complex build and its real copy peaked at 45 per entry
+        setup = ("import math\n"
+                 "from fockdiv.frame import symmetric_pair_report\n"
+                 "symmetric_pair_report(0.9 * math.sqrt(8), 8, 16)")
+        rise = child_peak_rise_mb(
+            setup, "symmetric_pair_report(0.9 * math.sqrt(400), 400, 800)")
+        assert rise <= fr.PAIR_BYTES * 400 * 800 / 2 ** 20 + 4.0
+
 
 class TestInterpolationConstant:
     def test_single_node_is_one(self):
@@ -601,6 +634,30 @@ class TestWitnessAndPath:
         energies = [e for _, e in out]
         assert dists[0] == 0.0 and dists[1] == pytest.approx(1.0)
         assert energies[0] > energies[1] > energies[2]
+
+    def test_defect_path_distance_is_the_margin_field(self, rng):
+        # bit for bit the per-point min(|z - c| - r), clipped at 0, on
+        # points in discs, between them and far outside
+        X = random_divisor(rng, max_nodes=12, max_mult=9, scale=1.5)
+        path = np.r_[np.linspace(-6, 6, 41) + 0.3j, X.centers, 40j]
+        dists = [d for d, _ in sampling_defect_path(X, path)]
+        want = [max(float(np.min(np.abs(z - X.centers) - X.radii)), 0.0)
+                for z in path]
+        assert dists == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf),
+                                     1e200])
+    def test_defect_path_refuses_far_points_before_any_scan(
+            self, monkeypatch, bad):
+        # a nan point used to reach kernel_sampling_energy after a nan
+        # distance
+        def unreachable(*args):
+            raise AssertionError("scanned a non-finite path")
+        monkeypatch.setattr(dv, "_margin_scan", unreachable)
+        monkeypatch.setattr(fr, "kernel_sampling_energy", unreachable)
+        X = Divisor(np.array([0j]), np.array([4]))
+        with pytest.raises(DomainError, match="path points"):
+            sampling_defect_path(X, [0.0, bad])
 
     def test_witness_grows_with_overlap(self):
         vals = []

@@ -179,7 +179,7 @@ class TestUniquenessCertificate:
             uniqueness_certificate(X, W, [5.0, 8.0, 11.0, 14.0])
 
     windows_12 = pytest.mark.parametrize("window", [
-        Region.disc(12.0, 0.1), Region.rectangle(-12, 12, -12, 12, 0.1)],
+        Region.disc(12.0, 0.1), Region((-12, 12, -12, 12), 0.1)],
         ids=["disc", "rect"])
 
     @windows_12
@@ -315,7 +315,7 @@ class TestWeightV:
         # each term m (log u + 1 - u) by a few ulps of m (|log u| + 2)
         X = Divisor(np.array([0j, 1 + 1j, 2.5 + 0j]), np.array([4, 2, 9]),
                     alpha=1.5)
-        zs = np.r_[Region.rectangle(-3, 5, -3, 4, 0.25).grid(), 40.0 + 0j]
+        zs = np.r_[Region((-3, 5, -3, 4), 0.25).grid(), 40.0 + 0j]
         v = weight_v(X, zs.reshape(1, -1))
         assert v.shape == (1, zs.size)
         eps = np.finfo(float).eps
@@ -375,7 +375,7 @@ class TestPsiLaplacian:
                 max_dev_outside=6.45732356474582e-11)
         L = lattice(3.0, 1, 6.0)
         X = Divisor(L.centers + (0.3 - 0.2j), 1 + np.arange(len(L)) % 2)
-        W = Region.rectangle(-5.1, 4.3, -3.7, 5.9, 0.06)
+        W = Region((-5.1, 4.3, -3.7, 5.9), 0.06)
         assert verify_psi_laplacian(X, W) == LaplacianReport(
             h=0.06, tol=0.21599999999999997, n_inside=7011, n_outside=8794,
             max_dev_inside=0.05317259294399277,

@@ -55,6 +55,21 @@ q,a,mass,mass_bound,min_laplacian_slack
 10,10,56.6359,83.7758,2.81972
 """
 
+# thinning_demo.py's report and the head of its output: the three planted
+# nodes of multiplicity 1 go, the 220 heavy nodes stay
+THINNING_MARGINS = """\
+C,worst_margin
+1,-2.22912
+2,-1.22912
+3,-0.229124
+"""
+THINNING_OUT = """\
+nodes: 223 -> 220
+removed 10.94+9.212j
+removed -4.794-14.84j
+removed -8.633+14.76j
+"""
+
 
 def run_script(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -64,6 +79,7 @@ def run_script(tmp_path, script, args):
          "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("script,args,report,header", CASES,
@@ -78,3 +94,9 @@ def test_script_runs(tmp_path, script, args, report, header):
 def test_radial_weight_table_pinned(tmp_path):
     run_script(tmp_path, "radial_weight_table.py", [])
     assert report_body(tmp_path, "radial_weights.csv") == RADIAL_WEIGHTS
+
+
+def test_thinning_demo_pinned(tmp_path):
+    out = run_script(tmp_path, "thinning_demo.py", [])
+    assert out.startswith(THINNING_OUT)
+    assert report_body(tmp_path, "thinning_margins.csv") == THINNING_MARGINS
