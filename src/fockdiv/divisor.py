@@ -268,19 +268,22 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(start - ends + length, length) + np.arange(length.sum())
 
 
-def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float):
+def _near_pairs(points: np.ndarray, centers: np.ndarray, reach):
     """Chunks (point, node, distance), in node order, of the pairs with
-    |point - center| <= reach * _REACH_PAD, for any n finite points in
-    square cells of side max(reach / 8, span / sqrt(n)): about one point per
-    cell, at most about n cells, and every node box within 18 rows of cells.
-    Each node reads the cells meeting its box widened by half a cell, row by
-    row (a slice of the points sorted by cell), ~_SCAN_CHUNK pairs at once."""
+    |point - center| <= reach[node] * _REACH_PAD, one reach or one per node,
+    for n finite points in square cells of side max(mid / 8, span / sqrt(n)),
+    mid the median reach (no sum to overflow): about one point per cell, at
+    most about n cells, a median node's box within 18 rows of cells.  Each
+    node reads the cells meeting its box widened by half a cell, row by row
+    (a slice of the points sorted by cell), ~_SCAN_CHUNK pairs at once."""
     if points.size == 0 or centers.size == 0:
         return
+    reach = np.broadcast_to(reach, centers.shape)
     # halved coordinates, so that the spans of finite points stay finite
     xy = np.array([points.real, points.imag]) / 2
     lo = xy.min(axis=1, keepdims=True)
-    side = max(reach / 16, np.ptp(xy, axis=1).max() / math.sqrt(points.size))
+    mid = np.partition(reach, reach.size // 2)[reach.size // 2]
+    side = max(mid / 16, np.ptp(xy, axis=1).max() / math.sqrt(points.size))
     cell = np.floor((xy - lo) / side).astype(np.intp)
     nx, ny = cell.max(axis=1) + 1
     key = cell[1] * nx + cell[0]
@@ -289,7 +292,7 @@ def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float):
     box = np.pad(np.bincount(key, minlength=nx * ny).reshape(ny, nx).cumsum(
         0).cumsum(1), (1, 0))  # box[y, x]: the points in rows < y, cols < x
     # boxes clipped in floats, so that far nodes cannot overflow the indices
-    reach *= _REACH_PAD
+    reach = reach * _REACH_PAD
     xy = np.array([centers.real, centers.imag]) / 2
     n = np.array([[nx], [ny]])
     blo = np.clip(np.floor((xy - reach / 2 - lo) / side - 0.5), 0, n)
@@ -309,40 +312,45 @@ def _near_pairs(points: np.ndarray, centers: np.ndarray, reach: float):
         at = _ranges(box[row, nx] + before, length)
         node = np.repeat(row_node, length)
         dist = np.abs(ordered[at] - centers[node])
-        close = dist <= reach
+        close = dist <= reach[node]
         yield order[at[close]], node[close], dist[close]
 
 
-def _node_pairs(centers: np.ndarray, reach: float):
-    """(i, j, |c_j - c_i|) for the pairs i < j within reach * _REACH_PAD."""
-    none = np.zeros(0, np.intp)
-    j, i, d = map(np.concatenate, zip((none, none, none), *_near_pairs(
-        centers, centers, reach)))
-    return i[i < j], j[i < j], d[i < j]
+def _node_pairs(centers: np.ndarray, reach: np.ndarray):
+    """(i, j, |c_j - c_i|) for the pairs i < j within the larger of their
+    reaches (one per node) times _REACH_PAD, each found once, by its node
+    of larger (reach, index)."""
+    found = [(np.zeros(0, np.intp),) * 2 + (np.zeros(0),)]
+    for p, q, d in _near_pairs(centers, centers, reach):
+        k = (reach[q] > reach[p]) | (reach[q] == reach[p]) & (q > p)
+        found.append((np.minimum(p, q)[k], np.maximum(p, q)[k], d[k]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
                  ) -> np.ndarray:
     """min over nodes of |z - center| - radius, for any points z.  A
-    minimum at most 0 is decided by the pairs within max radius, the reach
-    of the count scan.  Above 0 (z in no disc), every minimizing node lies
-    within d1 + (max radius - min radius) of z, d1 the distance to its
-    nearest center, so z takes its k nearest centers, k grown until the
-    k-th lies beyond that reach or k is the node count."""
+    minimum at most 0 is decided by the pairs within each node's radius.
+    Above 0 (z in no disc), every minimizing node lies within d1 + (max
+    radius - min radius) of z, d1 the distance to its nearest center, so z
+    takes its k nearest centers, k grown until the k-th lies beyond that
+    reach or k is the node count, in blocks of ~_SCAN_CHUNK entries."""
     out = np.full(points.size, np.inf)
-    for pi, ni, dist in _near_pairs(points, centers, radii.max()):
+    for pi, ni, dist in _near_pairs(points, centers, radii):
         np.minimum.at(out, pi, dist - radii[ni])
     todo, k = np.flatnonzero(out > 0), 4
     tree = cKDTree(_xy(centers)) if todo.size else None
     spread = radii.max() - radii.min()
     while todo.size:
-        k = min(k, centers.size)
-        d, j = tree.query(_xy(points[todo]), k=list(range(1, k + 1)))
-        out[todo] = (np.abs(points[todo, None] - centers[j]) - radii[j]
-                     ).min(axis=1)
-        reach = (d[:, 0] + spread) * _REACH_PAD
-        todo = todo[(d[:, -1] <= reach) & (k < centers.size)]
-        k *= 4
+        k, left = min(k, centers.size), []
+        step = max(1, _SCAN_CHUNK // k)
+        for part in np.split(todo, range(step, todo.size, step)):
+            d, j = tree.query(_xy(points[part]), k=list(range(1, k + 1)))
+            out[part] = (np.abs(points[part, None] - centers[j]) - radii[j]
+                         ).min(axis=1)
+            reach = (d[:, 0] + spread) * _REACH_PAD
+            left.append(part[(d[:, -1] <= reach) & (k < centers.size)])
+        todo, k = np.concatenate(left), 4 * k
     return out
 
 
@@ -350,7 +358,7 @@ def _count_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
                 ) -> np.ndarray:
     """Number of open discs D(center, radius) containing each point."""
     counts = np.zeros(points.size, dtype=np.intp)
-    for pi, ni, dist in _near_pairs(points, centers, radii.max(initial=0.0)):
+    for pi, ni, dist in _near_pairs(points, centers, radii):
         counts += np.bincount(pi[dist < radii[ni]], minlength=points.size)
     return counts
 
@@ -378,8 +386,8 @@ def overlap_constant(divisor: Divisor) -> int:
     of the crossing, whichever is larger, lies in the face unless the face
     is narrower than the nudge.  A lower bound always, exact but for that."""
     c, r = divisor.centers, divisor.radii
-    # Circles meet only at center distance <= r_i + r_j <= 2 max radius.
-    i, j, _ = _node_pairs(c, 2 * r.max(initial=0.0))
+    # Circles meet only at center distance <= r_i + r_j <= 2 max(r_i, r_j).
+    i, j, _ = _node_pairs(c, 2 * r)
     meets, p, q = _circle_intersections(c[i], r[i], c[j], r[j])
     i, j, pq = i[meets, None], j[meets, None], np.column_stack((p, q))
     pq += (np.maximum(1e-9 * np.minimum(r[i], r[j]), 4 * np.spacing(abs(pq)))
@@ -441,22 +449,24 @@ def disjointness_check(divisor: Divisor, margins) -> list:
 def _worst_overlap(centers, radii, margins) -> list:
     """(ok, (i, j, violation)) per margin C for the pair i < j maximizing
     rho_i + rho_j - |c_j - c_i|, rho = radii + C, the smallest (i, j) among
-    ties; ok when the violation is at most 1e-12.  Pairs beyond the reach
-    violate by less than top - reach, top = 2 max(rho), so one search
-    serves every C: its reach starts at the largest top and doubles until
-    each best candidate beats its top - reach or every pair is one."""
+    ties; ok when the violation is at most 1e-12.  Node i reaches
+    max(2 rho_i(C_max), 0) + slack, so a pair beyond both reaches violates
+    by less than min(0, 2 max(rho)) - slack at every C: one search serves
+    every C, its slack 0, then doubled from the median reach (or 1) until
+    each best candidate reaches that bound or every pair is one."""
     n, rhos = centers.size, [radii + c for c in margins]
     if n < 2 or not margins:
         return [(True, (None, None, 0.0))] * len(margins)
-    tops = [2 * rho.max() for rho in rhos]
-    reach = max(tops) if max(tops) > 0 else 1.0
+    own = np.maximum(2 * (radii + max(margins)), 0.0)
+    bounds, slack = [min(0.0, 2 * rho.max()) for rho in rhos], 0.0
     while True:
-        i, j, dist = _node_pairs(centers, reach)
+        i, j, dist = _node_pairs(centers, own + slack)
         viols = [rho[i] + rho[j] - dist for rho in rhos]
         if i.size == n * (n - 1) // 2 or i.size and all(
-                viol.max() >= top - reach for viol, top in zip(viols, tops)):
+                viol.max() >= bound - slack
+                for viol, bound in zip(viols, bounds)):
             break
-        reach *= 2
+        slack = 2 * slack or float(np.partition(own, n // 2)[n // 2]) or 1.0
     ks = [np.where(v == v.max(), i * n + j, n * n).argmin() for v in viols]
     worst = [(int(i[k]), int(j[k]), float(v[k])) for v, k in zip(viols, ks)]
     return [(w[2] <= 1e-12, w) for w in worst]

@@ -205,8 +205,7 @@ def weight_v(divisor: Divisor, z):
         raise DomainError("weight_v needs finite points")
     flat, v = z.ravel(), np.zeros(z.size)
     # the pairs come in node order, so each point sums its terms node by node
-    for pi, ni, dist in _near_pairs(flat, divisor.centers,
-                                    divisor.radii.max(initial=0.0)):
+    for pi, ni, dist in _near_pairs(flat, divisor.centers, divisor.radii):
         m = divisor.mults[ni]
         u = divisor.alpha * dist ** 2 / m
         hit = (u < 1.0) & (u > 0.0)
@@ -255,9 +254,9 @@ def verify_psi_laplacian(divisor: Divisor, window: Region
     # Excluding d <= (8 m / 60)^{1/4} (h-independent) keeps that error
     # below the quoted tolerance 60 h^2.
     eps = np.maximum(10.0 * h, (8.0 * divisor.mults / 60.0) ** 0.25)
-    # Every mask below is decided within this reach: nodes beyond it have
-    # |z - c| - r > 2 h and |z - c| > eps.
-    reach = max(divisor.radii.max(initial=0.0) + 2 * h, eps.max(initial=0.0))
+    # Every mask below is decided within these reaches: a node farther away
+    # has |z - c| - r > 2 h and |z - c| > eps.
+    reach = np.maximum(divisor.radii + 2 * h, eps)
     in_some_disc = np.zeros(flat.size, dtype=bool)
     outside_all = np.ones(flat.size, dtype=bool)
     near_edge = np.zeros(flat.size, dtype=bool)

@@ -593,21 +593,21 @@ class TestReports:
 
     def test_geometry_searches_node_pairs_twice(self, tmp_path,
                                                 monkeypatch):
-        # one search for the overlap constant's crossings, at 2 max radius,
-        # and one for the disjointness of all three margins, at the largest
-        # 2 (max radius + C); one search per margin made four
+        # one search for the overlap constant's crossings, at 2 r for every
+        # node, and one for the disjointness of all three margins, at the
+        # largest 2 (r + C) for every node; one search per margin made four
         reaches = []
         search = dv._node_pairs
 
         def counted(centers, reach):
-            reaches.append(reach)
+            reaches.append(reach.tolist())
             return search(centers, reach)
         monkeypatch.setattr(dv, "_node_pairs", counted)
         assert main(["geometry", "--config",
                      str(ROOT / "configs" / "geometry.ini"),
                      "--out", str(tmp_path / "g")]) == EXIT_OK
-        r = math.sqrt(2)
-        assert reaches == [2 * r, 2 * (r + 0.5)]
+        r, n = math.sqrt(2), len(reaches[0])
+        assert n > 1 and reaches == [[2 * r] * n, [2 * (r + 0.5)] * n]
 
     def test_frame_builds_r_once(self, tmp_path, monkeypatch):
         # three truncations share one pass over R's rows, built from one

@@ -118,13 +118,14 @@ def two_hostile_keys(draw):
 
 
 # 200 rings as (radii, multiplicities), one node each: all within 0.2 of
-# the origin, or from radius 1.5 to 51.25 with discs of radius 707.  Light
-# rings out to radius 51 would give 16,000 nodes, and one heavy ring among
-# them makes the node-pair search of overlap_constant and
-# disjointness_check list every pair (ROADMAP, Known defects)
+# the origin, or from radius 1.5 to 51.25 with discs of radius 707; and 200
+# light rings over the same radii (about 15,000 nodes) whose first ring is
+# one heavy disc of radius 707 containing all the others, which once made
+# the node-pair search list every pair (ROADMAP item 19)
+LIGHT = [f"{1.5 + 0.25 * i:g}" for i in range(200)]
 RING_LISTS = [([f"{0.001 * i:g}" for i in range(1, 201)], ["2", "3"] * 100),
-              ([f"{1.5 + 0.25 * i:g}" for i in range(200)],
-               ["1000000"] * 200)]
+              (LIGHT, ["1000000"] * 200),
+              (LIGHT, ["1000000"] + ["3", "2"] * 99 + ["3"])]
 
 
 @st.composite

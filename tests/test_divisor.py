@@ -1,6 +1,7 @@
 """Divisor I/O, constructions, and disc-geometry scans."""
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -556,6 +557,57 @@ class TestNeighbourScans:
             points, c, 2.0) for p, n in zip(*chunk[:2]))
         assert pairs == [(2, 0), (3, 1)]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_pairs_per_node_reach_match_dense_oracle(self, seed):
+        # reaches from 0 to 2, one of them 1,000 times the largest of the
+        # others, and points and centers sharing a window
+        rng = np.random.default_rng(seed)
+        points = [1, 1j] @ rng.uniform(-20, 20, (2, 300))
+        centers = [1, 1j] @ rng.uniform(-25, 25, (2, 80))
+        reach = rng.uniform(0, 2, centers.size)
+        reach[seed] = 1000 * reach.max()
+        mine = reach.copy()
+        dist = np.abs(points[:, None] - centers)
+        within = np.argwhere(dist <= reach * dv._REACH_PAD)
+        expected = sorted((p, n, dist[p, n]) for p, n in within.tolist())
+        chunks = list(dv._near_pairs(points, centers, reach))
+        found = sorted(zip(*(np.concatenate(part).tolist()
+                             for part in zip(*chunks))))
+        assert found == expected
+        # node order, and the caller's reaches left as they were
+        nodes = np.concatenate([n for _, n, _ in chunks])
+        assert np.all(np.diff(nodes) >= 0)
+        assert np.array_equal(reach, mine)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_node_pairs_within_the_larger_reach_once(self, seed):
+        # tied reaches, a zero reach and one reach 1,000 times the others
+        rng = np.random.default_rng(seed)
+        centers = [1, 1j] @ rng.uniform(-10, 10, (2, 120))
+        reach = rng.choice([0.0, 0.5, 1.0, 2.5], centers.size)
+        reach[seed] = 1000.0
+        i, j, d = dv._node_pairs(centers, reach)
+        dist = np.abs(centers[:, None] - centers)
+        larger = np.maximum(reach[:, None], reach)
+        expected = [(a, b) for a, b in np.argwhere(
+            dist <= larger * dv._REACH_PAD).tolist() if a < b]
+        assert sorted(zip(i.tolist(), j.tolist())) == expected
+        assert np.array_equal(d, dist[i, j])
+
+    @pytest.mark.parametrize("margins", [
+        [0.0, 0.5], [-0.5], [-0.5, -3.0, 0.0], [-30.0, -3.0]])
+    def test_disjointness_with_a_heavy_disc_matches_dense_loop(self,
+                                                                margins):
+        # tangent unit discs, a disc of radius 20 near them and one of
+        # radius 30 far away: at C = -0.5 no pair overlaps, at -3 and -30
+        # every light disc has a negative radius
+        L = lattice(2.0, 1, 8.0)
+        X = Divisor(np.append(L.centers, [14 + 3j, 200 - 50j]),
+                    np.append(L.mults, [400, 900]))
+        assert disjointness_check(X, margins) == [
+            dense_disjointness_check(X.centers, X.radii + C)
+            for C in margins]
+
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @example(seed=10000)  # a nudge toward the middle of the centres gave 1
     @settings(max_examples=25, deadline=None)
@@ -638,6 +690,85 @@ class TestNeighbourScans:
             f"cfg.read(make_config({workload!r}, 0, Path({str(tmp_path)!r})))\n"
             "X, W = load_divisor(cfg), load_window(cfg)\n")
         assert child_peak_rise_mb(setup, scans) <= 16.0
+
+    def test_knn_fallback_queries_in_blocks(self):
+        # a disc of radius 1,000 centred 1,100 away puts every node within
+        # d1 + (max radius - min radius) of the points in the hole, so k
+        # grows to the node count.  Querying every point at once raised the
+        # peak by 81 MB here, and by 2.2 GB (MemoryError) at extent 60,
+        # hole 10 and window disc(12, 0.1); in blocks of about _SCAN_CHUNK
+        # entries, by 3 MB.  The time still grows with k
+        heavy = ("L = lattice(1.0, 1, 15.0, hole_radius=3.0)\n"
+                 "X = Divisor(np.append(L.centers, 1100),\n"
+                 "            np.append(L.mults, 10 ** 6))\n")
+        setup = ("import numpy as np\n"
+                 "from fockdiv.divisor import (Divisor, Region, lattice,\n"
+                 "                             _margin_scan)\n" + heavy
+                 + "pts = Region.disc(4.0, 0.1).grid()\n")
+        assert child_peak_rise_mb(
+            setup, "_margin_scan(pts, X.centers, X.radii)\n") <= 12.0
+        # several blocks of the last k (the node count, 937) on a coarser
+        # window
+        L = lattice(1.0, 1, 15.0, hole_radius=3.0)
+        X = Divisor(np.append(L.centers, 1100), np.append(L.mults, 10 ** 6))
+        c, r, points = X.centers, X.radii, Region.disc(4.0, 0.2).grid()
+        assert np.array_equal(_margin_scan(points, c, r),
+                              dense_margin_scan(points, c, r))
+
+
+class TestHeavyDisc:
+    """One heavy disc among many light ones: each node reaches as far as
+    its own disc, so the light nodes never read the whole divisor."""
+
+    def test_geometry_within_time_and_memory(self, tmp_path):
+        # light rings at radii 1.5, 1.75, ..., 51.25 (alpha 2, multiplicities
+        # 3 and 2, a centre node of multiplicity 4), the first ring one disc
+        # of radius 707 holding all the others: 15,138 nodes.  A reach of
+        # twice the largest radius listed 114.6 million node pairs, and
+        # geometry exited 1 with MemoryError under a 3 GB address-space
+        # limit.  Per-node reaches: 1.0-1.2 s, 155 MB peak
+        radii = ",".join(f"{1.5 + 0.25 * i:g}" for i in range(200))
+        mults = ",".join(["1000000"] + ["3", "2"] * 99 + ["3"])
+        config = tmp_path / "heavy.ini"
+        config.write_text(
+            f"[divisor]\nsource = rings\nring_radii = {radii}\n"
+            f"ring_mults = {mults}\ninclude_center = yes\n"
+            "center_mult = 4\nalpha = 2\n[window]\nkind = rect\n"
+            "xmin = -7\nxmax = 7\nymin = -5\nymax = 5\nh = 0.25\n"
+            "[geometry]\nmargins = 0,0.5\n", encoding="utf-8")
+        code = (
+            "import resource, warnings\n"
+            "warnings.simplefilter('error', RuntimeWarning)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9,\n"
+            "    resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from fockdiv.cli import main\n"
+            f"code = main(['geometry', '--config', {str(config)!r},\n"
+            f"             '--out', {str(tmp_path / 'out')!r}])\n"
+            "assert code == 0, code\n")
+        start = time.perf_counter()
+        peak = child_peak_rss_mb(code)
+        assert time.perf_counter() - start <= 10.0
+        assert peak <= 500.0
+
+    def test_scaled_down_copy_matches_dense_oracles(self):
+        # the rings to radius 10: 590 nodes, one of them heavy
+        radii = np.arange(1.5, 10.1, 0.25)
+        mults = np.where(np.arange(radii.size) % 2, 3, 2)
+        mults[0] = 10 ** 6
+        X = radial_rings(radii.tolist(), mults.tolist(), alpha=2.0,
+                         include_center=True, center_mult=4)
+        W = Region((-7.0, 7.0, -5.0, 5.0), 0.25)
+        c, r = X.centers, X.radii
+        assert len(X) == 590
+        assert overlap_constant(X) == dense_overlap_constant(X, W)
+        margins = [0.0, 0.5, -0.5, -2.0]
+        assert disjointness_check(X, margins) == [
+            dense_disjointness_check(c, r + C) for C in margins]
+        pts = W.grid()
+        (expand, shrink), = covering_margin(X, [0.0], W)
+        assert expand[1] == shrink[1] == dense_margin_scan(pts, c, r).max()
+        assert np.array_equal(_count_scan(pts, c, r),
+                              dense_count_scan(pts, c, r))
 
 
 @st.composite
