@@ -331,25 +331,30 @@ def _margin_scan(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
                  ) -> np.ndarray:
     """min over nodes of |z - center| - radius, for any points z.  A
     minimum at most 0 is decided by the pairs within each node's radius.
-    Above 0 (z in no disc), every minimizing node lies within d1 + (max
-    radius - min radius) of z, d1 the distance to its nearest center, so z
-    takes its k nearest centers, k grown until the k-th lies beyond that
-    reach or k is the node count, in blocks of ~_SCAN_CHUNK entries."""
+    Above 0 (z in no disc), z reads its k nearest centers, the k-th at d_k.
+    A node past them beats their minimum m only with a radius above gap =
+    d_k / _REACH_PAD - m: z is settled once at most the k largest discs
+    pass gap, and those are read too; else k grows 4x, to the node count."""
     out = np.full(points.size, np.inf)
     for pi, ni, dist in _near_pairs(points, centers, radii):
         np.minimum.at(out, pi, dist - radii[ni])
-    todo, k = np.flatnonzero(out > 0), 4
+    todo, k, n = np.flatnonzero(out > 0), 4, centers.size
     tree = cKDTree(_xy(centers)) if todo.size else None
-    spread = radii.max() - radii.min()
-    while todo.size:
-        k, left = min(k, centers.size), []
+    heavy = np.argsort(-radii)  # top[k]: the largest radius past heavy[:k]
+    top = np.append(radii[heavy], -np.inf)
+
+    def field(at, j):  # min over the nodes j, a row of them per point
+        return (np.abs(points[at, None] - centers[j]) - radii[j]).min(axis=1)
+    while todo.size:  # ~_SCAN_CHUNK (point, node) entries at once
+        k, left = min(k, n), []
         step = max(1, _SCAN_CHUNK // k)
         for part in np.split(todo, range(step, todo.size, step)):
             d, j = tree.query(_xy(points[part]), k=list(range(1, k + 1)))
-            out[part] = (np.abs(points[part, None] - centers[j]) - radii[j]
-                         ).min(axis=1)
-            reach = (d[:, 0] + spread) * _REACH_PAD
-            left.append(part[(d[:, -1] <= reach) & (k < centers.size)])
+            out[part] = field(part, j)
+            gap = d[:, -1] / _REACH_PAD - out[part]
+            some = part[(top[k] <= gap) & (gap < top[0]) & (k < n)]
+            out[some] = np.minimum(out[some], field(some, heavy[:k]))
+            left.append(part[top[k] > gap])
         todo, k = np.concatenate(left), 4 * k
     return out
 

@@ -204,7 +204,7 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     held until the ascending walk over the N reaches it; A <= N eps B,
     below eigvalsh's resolution, reads 0.  Otherwise R, at most N x N, is
     stored, conjugated, and R(N) goes to _svd_report as one block.
-    Memory: N^2 entries and the held rows, whatever the node count.
+    Memory: at most N^2 each for the stored R and the Gram, and the held rows.
 
     A part P of r rows (a block's live rows, or held rows as they become
     live) enters the Gram only on [lo, hi), the fewest columns that hold
@@ -228,8 +228,8 @@ def frame_sweep(divisor: Divisor, truncations) -> list[FrameReport]:
     top, total = cuts[-1], divisor.total_multiplicity
     tall = [n for n in cuts if total > n]
     first, width = (tall[0], tall[-1]) if tall else (0, 0)
-    entries = top * top + width * int(
-        np.clip(np.minimum(divisor.mults, width) - first, 0, None).sum())
+    entries = total * top * (total <= top) + width * (width + int(
+        np.clip(np.minimum(divisor.mults, width) - first, 0, None).sum()))
     _check_size(entries, "frame sweep entries", MAX_ENTRIES)
     rows = np.zeros((total, top), dtype=complex) if total <= top else None
     gram = np.zeros((width, width), dtype=complex, order="F")

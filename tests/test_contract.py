@@ -3,9 +3,9 @@
 A derandomized Hypothesis search sets one key, or two at once, of one
 study's small base config to a hostile value, or gives a rings base lists
 of 200 items, and runs ``cli.main`` in process, with RuntimeWarning raised
-as an error and an alarm on each example.  The bad-input configs of CI's
-console-script loop are the explicit examples of the one-key search, each
-with the exit code it must give."""
+as an error and an alarm on each example.  The bad-input configs, each
+with the exit code it must give, are the one-key search's explicit
+examples."""
 
 import contextlib
 import io
@@ -157,7 +157,10 @@ def _shipped(name: str, key: str, value: str) -> str:
                     else line) + "\n" for line in lines)
 
 
-# CI's bad-input loop, with the exit code each must give
+# bad inputs, with the exit code each must give: non-finite or mismatched
+# generator inputs, files that are directories, radii and bounds past the
+# 1e150 limit exit 2; counts past a cap exit 3 before anything is built;
+# byte-order marks exit 0
 CI_CASES = [
     ("dichotomy", "[dichotomy]\nparams = 0.6\udcff\n", "", 2),  # not UTF-8
     ("frame", "[divisor]\nspacing = nan\nmultiplicity = 1\nextent = 5\n",
@@ -188,6 +191,9 @@ CI_CASES = [
     ("uniqueness", _shipped("uniqueness", "h", "1e-300"), "", 3),
     ("geometry", "[divisor]\nsource = file\nfile = {dir}/d.csv\n"
                  "[window]\nradius = 6\n", BOM + LATTICE_CSV, 0),
+    ("frame", "[divisor]\nsource = file\nfile = {dir}/d.csv\n"
+              "[frame]\ntruncations = 10\n",
+     BOM + "re,im,multiplicity\n0,0,2\n1.5,0,3\n", 0),
 ]
 
 

@@ -692,26 +692,21 @@ class TestNeighbourScans:
         assert child_peak_rise_mb(setup, scans) <= 16.0
 
     def test_knn_fallback_queries_in_blocks(self):
-        # a disc of radius 1,000 centred 1,100 away puts every node within
-        # d1 + (max radius - min radius) of the points in the hole, so k
-        # grows to the node count.  Querying every point at once raised the
-        # peak by 81 MB here, and by 2.2 GB (MemoryError) at extent 60,
-        # hole 10 and window disc(12, 0.1); in blocks of about _SCAN_CHUNK
-        # entries, by 3 MB.  The time still grows with k
-        heavy = ("L = lattice(1.0, 1, 15.0, hole_radius=3.0)\n"
-                 "X = Divisor(np.append(L.centers, 1100),\n"
-                 "            np.append(L.mults, 10 ** 6))\n")
-        setup = ("import numpy as np\n"
-                 "from fockdiv.divisor import (Divisor, Region, lattice,\n"
-                 "                             _margin_scan)\n" + heavy
-                 + "pts = Region.disc(4.0, 0.1).grid()\n")
+        # a window 1e12 away ties every node of the lattice under the
+        # relative pad of the k-nearest fallback, so k grows to the node
+        # count.  Querying every point at once raised the peak by 308 MB
+        # here; in blocks of about _SCAN_CHUNK entries, by 3 MB
+        setup = ("from fockdiv.divisor import Region, lattice, _margin_scan\n"
+                 "L = lattice(1.0, 1, 15.0, hole_radius=3.0)\n"
+                 "pts = Region((1e12 - 4, 1e12 + 4, -4, 4), 0.1).grid()\n")
         assert child_peak_rise_mb(
-            setup, "_margin_scan(pts, X.centers, X.radii)\n") <= 12.0
-        # several blocks of the last k (the node count, 937) on a coarser
+            setup, "_margin_scan(pts, L.centers, L.radii)\n") <= 12.0
+        # several blocks of the last k (the node count, 936) on a coarser
         # window
         L = lattice(1.0, 1, 15.0, hole_radius=3.0)
-        X = Divisor(np.append(L.centers, 1100), np.append(L.mults, 10 ** 6))
-        c, r, points = X.centers, X.radii, Region.disc(4.0, 0.2).grid()
+        c, r = L.centers, L.radii
+        points = Region((1e12 - 4, 1e12 + 4, -4, 4), 0.5).grid()
+        assert points.size > 4 * (dv._SCAN_CHUNK // c.size)
         assert np.array_equal(_margin_scan(points, c, r),
                               dense_margin_scan(points, c, r))
 
@@ -769,6 +764,83 @@ class TestHeavyDisc:
         assert expand[1] == shrink[1] == dense_margin_scan(pts, c, r).max()
         assert np.array_equal(_count_scan(pts, c, r),
                               dense_count_scan(pts, c, r))
+
+    @pytest.mark.parametrize("heavy, mults", [
+        ([6.5 + 6.5j], [9]),              # near, inside the window
+        ([1100], [10 ** 6]),              # far outside, never the minimum
+        ([1004 + 0j], [10 ** 6]),         # far, its circle through the hole
+        ([-40 + 3j, 60j], [900, 10 ** 5]),
+        ([30, 30j, -30, -30j], [400] * 4),  # equal radii, tied in rank
+        ([1004 + 0j, -1004 + 0j], [10 ** 6] * 2),
+    ])
+    def test_margin_scan_mixed_radii(self, heavy, mults):
+        L = lattice(1.0, 1, 15.0, hole_radius=6.0)
+        X = Divisor(np.append(L.centers, heavy), np.append(L.mults, mults))
+        c, r, pts = X.centers, X.radii, Region.disc(8.0, 0.2).grid()
+        assert np.array_equal(_margin_scan(pts, c, r),
+                              dense_margin_scan(pts, c, r))
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_margin_scan_matches_dense_with_heavy_nodes(self, seed):
+        # light nodes and up to three heavy ones whose circles pass within
+        # a few units of the window, radii drawn from three values (ties)
+        rng = np.random.default_rng(seed)
+        light = random_divisor(rng, max_nodes=60, max_mult=3, scale=4.0)
+        n = int(rng.integers(1, 4))
+        radius = rng.choice([3.0, 40.0, 900.0], size=n)
+        heavy = (radius + rng.uniform(-2.0, 8.0, size=n)) * np.exp(
+            2j * np.pi * rng.random(n))
+        X = Divisor(np.append(light.centers, heavy),
+                    np.append(light.mults, (radius ** 2).astype(int)))
+        c, r, pts = X.centers, X.radii, Region.disc(6.0, 0.3).grid()
+        assert np.array_equal(_margin_scan(pts, c, r),
+                              dense_margin_scan(pts, c, r))
+
+    def test_margin_scan_lattice_with_eight_heavy_nodes(self):
+        # 1,636 light nodes and eight discs of radius 20 on a ring of
+        # radius 25: 301,885 window points, 3,000 of them checked densely
+        L = lattice(1.5, 2, 30.0, hole_radius=6.0)
+        X = Divisor(np.append(L.centers,
+                              25 * np.exp(2j * np.pi * np.arange(8) / 8)),
+                    np.append(L.mults, [400] * 8))
+        c, r, pts = X.centers, X.radii, Region.disc(31.0, 0.1).grid()
+        field = _margin_scan(pts, c, r)
+        at = np.random.default_rng(8).choice(pts.size, 3000, replace=False)
+        assert np.array_equal(field[at], dense_margin_scan(pts[at], c, r))
+
+    def test_far_heavy_disc_within_time_and_memory(self):
+        # one disc of radius 1,000 centred 1,100 away from a holed lattice
+        # of 14,336 unit discs.  A fallback reach of d1 + (max radius - min
+        # radius) took k to the node count for every point of the hole:
+        # 105 s.  Settled by the k largest discs: 0.06 s, a 8 MB rise
+        setup = ("import numpy as np\n"
+                 "from fockdiv.divisor import (Divisor, Region, lattice,\n"
+                 "                             covering_margin)\n"
+                 "L = lattice(1.0, 1, 60.0, hole_radius=10.0)\n"
+                 "X = Divisor(np.append(L.centers, 1100),\n"
+                 "            np.append(L.mults, 10 ** 6))\n"
+                 "worst = (-4.263256414560601e-14 - 4.263256414560601e-14j,\n"
+                 "         8.99999999999994)\n")
+        code = ("assert (covering_margin(X, [0.0], Region.disc(12.0, 0.1))\n"
+                "        == [(worst, worst)])\n")
+        start = time.perf_counter()
+        assert child_peak_rise_mb(setup, code) <= 16.0
+        assert time.perf_counter() - start <= 5.0
+
+    def test_far_heavy_disc_queries_at_most_16_neighbours(self,
+                                                          monkeypatch):
+        asked = []
+
+        class Counted(dv.cKDTree):
+            def query(self, x, k):
+                asked.append(k[-1])
+                return super().query(x, k=k)
+        monkeypatch.setattr(dv, "cKDTree", Counted)
+        L = lattice(1.0, 1, 60.0, hole_radius=10.0)
+        X = Divisor(np.append(L.centers, 1100), np.append(L.mults, 10 ** 6))
+        covering_margin(X, [0.0], Region.disc(12.0, 0.1))
+        assert asked and max(asked) <= 16
 
 
 @st.composite

@@ -17,6 +17,7 @@ import fockdiv.divisor as dv
 import fockdiv.frame as fr
 from conftest import (child_peak_rise_mb, child_peak_rss_mb, frame_oracle,
                       random_divisor)
+from fockdiv.cli import EXIT_OK, main
 from fockdiv.divisor import Divisor, lattice, overlap_constant, radial_rings
 from fockdiv.errors import (DomainError, NotInterpolatingError,
                             ParameterError, ResourceError, VerificationError)
@@ -290,6 +291,9 @@ class TestFrameSweep:
     @pytest.mark.parametrize("mults, truncations, cap", [
         ([1] * 150, [60, 120], 10_000),  # N^2 = 14,400
         ([200, 1], [10, 100], 15_000),   # N^2 = 10,000 + 90 held x 100
+        # the 25 x 25 stored R and the 24 x 24 Gram side by side, 1,201
+        # entries, where N^2 alone passed the cap
+        ([1] * 25, [24, 25], 700),
     ])
     def test_cap_raises_before_allocating(self, monkeypatch, mults,
                                           truncations, cap):
@@ -306,7 +310,19 @@ class TestFrameSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16_000  # either Gram alone would be 160 KB or more
+        assert peak < 8_000  # the smallest buffer of any case: 9 KB
+
+    def test_cap_counts_the_stored_r_alone(self, tmp_path):
+        # a wide sweep stores R (25 rows x 9,000 columns) and holds no Gram:
+        # 225,000 entries, where N^2 = 81 million exceeded the cap
+        config = configparser.ConfigParser()
+        config.read(ROOT / "configs" / "frame.ini")
+        config["frame"]["truncations"] = "9000"
+        path = tmp_path / "wide.ini"
+        with open(path, "w", encoding="utf-8") as fh:
+            config.write(fh)
+        assert main(["frame", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == EXIT_OK
 
     def test_holed_lattice_pinned(self):
         # 600 nodes, tall R at every N; (A, B, tail_bound) as the sweep
